@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 
-from .scenario import AgentParams, ConsumerParams, GeneratorParams
+import numpy as np
+
+from .scenario import AgentParams, AgentView, ConsumerParams, GeneratorParams
 
 
 def _require_finite(lam: float) -> None:
@@ -60,6 +62,18 @@ def consumer_response(p: ConsumerParams, lam: float) -> float:
     if lam == 0.0:
         return _clip(p.saturation, p.p_min, p.p_max)
     return _clip((p.w - lam) / (2.0 * p.alpha), p.p_min, p.p_max)
+
+
+def responses(agents: AgentView, lam, generator_response) -> np.ndarray:
+    """Node-order best responses, node i to the price lam[i].
+
+    Scalar closed forms on purpose: at a handful of nodes numpy's per-call
+    overhead costs more than the arithmetic it would vectorize.
+    """
+    return np.array([
+        generator_response(p, x) if isinstance(p, GeneratorParams) else consumer_response(p, x)
+        for p, x in zip(agents.params, np.asarray(lam, dtype=float).tolist(), strict=True)
+    ])
 
 
 def lambda_init(params: AgentParams) -> float:

@@ -65,8 +65,7 @@ def _load(path: str):
 
 def _interior_gen_prices(scenario: Scenario, P_full: np.ndarray, variant: str):
     """Loss-adjusted (or raw) implied prices over interior generators."""
-    gen_nodes = scenario.generator_nodes
-    P_gen = np.array([P_full[i] for i in gen_nodes])
+    P_gen = P_full[list(scenario.generator_nodes)]
     prices = oracle.implied_prices(P_gen, scenario, variant)
     interior = np.array(
         [
@@ -214,8 +213,8 @@ def cmd_kkt(args) -> int:
 def _counterexample_payload(scenario: Scenario) -> tuple:
     """Runs oracle + both variants; returns (payload dict, exit code)."""
     sol = oracle.solve_centralized(scenario)
-    gen_nodes = scenario.generator_nodes
-    P_star_gen = np.array([sol.P[i] for i in gen_nodes])
+    gen_nodes = list(scenario.generator_nodes)
+    P_star_gen = sol.P[gen_nodes]
 
     payload = {
         "oracle": {
@@ -246,9 +245,9 @@ def _counterexample_payload(scenario: Scenario) -> tuple:
             "mismatch": engine.mismatch(P, scenario),
         }
         if result.terminated == engine.TERMINATED_BY_TOLERANCE:
-            P_gen = np.array([P[i] for i in gen_nodes])
+            P_gen = P[gen_nodes]
             report = oracle.kkt_check(P, lam_c, scenario)
-            gen_stationarity = [float(abs(report.stationarity[i])) for i in gen_nodes]
+            gen_stationarity = np.abs(report.stationarity[gen_nodes]).tolist()
             entry.update(
                 {
                     "implied_prices_original": oracle.implied_prices(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import best_response
-from .scenario import NodeKind, Scenario, validate_scenario
+from .scenario import Scenario, validate_scenario
 
 TERMINATED_BY_TOLERANCE = "by-tolerance"
 TERMINATED_BY_MAX_ITERS = "by-max-iters"
@@ -82,28 +82,10 @@ class RunResult:
         return np.array([s.xi for s in self.final_states])
 
 
-def _kind_sign(scenario: Scenario) -> np.ndarray:
-    # -1 for generators (producing drains surplus), +1 for consumers
-    return np.array([-1.0 if k is NodeKind.GENERATOR else 1.0 for k in scenario.graph.node_kind])
-
-
-def _loss_coeffs(scenario: Scenario) -> np.ndarray:
-    out = np.zeros(scenario.n_nodes)
-    for idx, node in enumerate(scenario.generator_nodes):
-        out[node] = scenario.generators[idx].B
-    return out
-
-
-def _net_vector(P: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    # identity on consumer entries (their loss coefficient is zero here)
-    return P - loss * P * P
-
-
 def mismatch(P: np.ndarray, scenario: Scenario) -> float:
     """Demand minus net supply, sum_cons P[j] - sum_gen (P[i] - B[i]*P[i]^2)."""
-    sign = _kind_sign(scenario)
-    loss = _loss_coeffs(scenario)
-    return float(np.sum(sign * _net_vector(np.asarray(P, dtype=float), loss)))
+    agents = scenario.agents
+    return float(np.sum(agents.sign * agents.net(np.asarray(P, dtype=float))))
 
 
 def lambda_step(lam: np.ndarray, xi: np.ndarray, W: np.ndarray, eta: float) -> np.ndarray:
@@ -126,14 +108,7 @@ def power_step(scenario: Scenario, variant: str, new_lambdas: np.ndarray) -> np.
         if variant == VARIANT_ORIGINAL
         else best_response.generator_response_corrected
     )
-    P = np.empty(scenario.n_nodes)
-    for i in range(scenario.n_nodes):
-        params = scenario.node_params(i)
-        if scenario.graph.node_kind[i] is NodeKind.GENERATOR:
-            P[i] = gen_resp(params, float(new_lambdas[i]))
-        else:
-            P[i] = best_response.consumer_response(params, float(new_lambdas[i]))
-    return P
+    return best_response.responses(scenario.agents, new_lambdas, gen_resp)
 
 
 def surplus_step(
@@ -147,10 +122,9 @@ def surplus_step(
     xi = np.asarray(xi, dtype=float)
     if Q.shape != (xi.size, xi.size) or len(old_P) != xi.size or len(new_P) != xi.size:
         raise ValueError("dimension mismatch in surplus_step")
-    sign = _kind_sign(scenario)
-    loss = _loss_coeffs(scenario)
-    delta = sign * (_net_vector(np.asarray(new_P, dtype=float), loss)
-                    - _net_vector(np.asarray(old_P, dtype=float), loss))
+    agents = scenario.agents
+    delta = agents.sign * (agents.net(np.asarray(new_P, dtype=float))
+                           - agents.net(np.asarray(old_P, dtype=float)))
     return Q @ xi + delta
 
 
@@ -172,11 +146,12 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     n = scenario.n_nodes
     W = scenario.weights.W
     Q = scenario.weights.Q
-    sign = _kind_sign(scenario)
-    loss = _loss_coeffs(scenario)
+    agents = scenario.agents
+    sign = agents.sign
 
-    lam = np.array([best_response.lambda_init(scenario.node_params(i)) for i in range(n)])
+    lam = np.array([best_response.lambda_init(p) for p in agents.params])
     P = np.zeros(n)
+    net = agents.net(P)
     xi = np.zeros(n)
 
     def record(k, lam_v, P_v, xi_v, mism):
@@ -197,10 +172,11 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     for k in range(1, scenario.max_iters + 1):
         lam_new = lambda_step(lam, xi, W, scenario.eta)
         P_new = power_step(scenario, variant, lam_new)
-        xi_new = Q @ xi + sign * (_net_vector(P_new, loss) - _net_vector(P, loss))
+        net_new = agents.net(P_new)
+        xi_new = Q @ xi + sign * (net_new - net)
 
         rounds = k
-        mism = float(np.sum(sign * _net_vector(P_new, loss)))
+        mism = float(np.sum(sign * net_new))
         gap = abs(float(xi_new.sum()) - mism)
         if gap > max_gap:
             max_gap = gap
@@ -217,7 +193,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
             np.abs(xi_new).max() <= scenario.eps_m
             and np.abs(lam_new - lam).max() <= scenario.eps_l
         )
-        lam, P, xi = lam_new, P_new, xi_new
+        lam, P, xi, net = lam_new, P_new, xi_new, net_new
         if done or k == scenario.max_iters or k % trace_stride == 0:
             trace.append(record(k, lam, P, xi, mism))
         if done:

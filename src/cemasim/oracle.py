@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .best_response import consumer_response, generator_response_corrected
-from .scenario import NodeKind, Scenario
+from .best_response import consumer_response, generator_response_corrected, responses
+from .scenario import GeneratorParams, Scenario, check_feasibility_condition
 
 DEFAULT_SOLVE_TOL = 1e-9
 ACTIVE_BOUND_TOL = 1e-7
@@ -37,38 +37,21 @@ class BracketError(RuntimeError):
 
 def objective_value(scenario: Scenario, P: np.ndarray) -> float:
     """Total cost minus total utility at a full node-order power vector."""
-    P = np.asarray(P, dtype=float)
     total = 0.0
-    for i in range(scenario.n_nodes):
-        params = scenario.node_params(i)
-        if scenario.graph.node_kind[i] is NodeKind.GENERATOR:
-            total += params.cost(float(P[i]))
-        else:
-            total -= params.utility(float(P[i]))
+    for params, x in zip(scenario.agents.params, np.asarray(P, dtype=float).tolist(),
+                         strict=True):
+        total += params.cost(x) if isinstance(params, GeneratorParams) else -params.utility(x)
     return total
 
 
 def _responses(scenario: Scenario, lam: float) -> np.ndarray:
-    P = np.empty(scenario.n_nodes)
-    for i in range(scenario.n_nodes):
-        params = scenario.node_params(i)
-        if scenario.graph.node_kind[i] is NodeKind.GENERATOR:
-            P[i] = generator_response_corrected(params, lam)
-        else:
-            P[i] = consumer_response(params, lam)
-    return P
+    return responses(scenario.agents, [lam] * scenario.n_nodes, generator_response_corrected)
 
 
 def _balance(scenario: Scenario, lam: float) -> float:
-    total = 0.0
-    for i in range(scenario.n_nodes):
-        params = scenario.node_params(i)
-        if scenario.graph.node_kind[i] is NodeKind.GENERATOR:
-            P = generator_response_corrected(params, lam)
-            total += P - params.B * P * P
-        else:
-            total -= consumer_response(params, lam)
-    return total
+    # left-to-right in node order: np.sum's pairwise order would move the bisection
+    agents = scenario.agents
+    return float(np.cumsum(-agents.sign * agents.net(_responses(scenario, lam)))[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +74,7 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_SOLVE_TOL) -> Cen
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    feasible, slack = _feasibility(scenario)
+    feasible, slack = check_feasibility_condition(scenario)
     if not feasible:
         raise InfeasibleScenarioError(
             f"demand headroom violated: sum_cons p_max - sum_gen (p_min - B*p_max^2) = {slack}"
@@ -163,12 +146,6 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_SOLVE_TOL) -> Cen
     )
 
 
-def _feasibility(scenario: Scenario):
-    lhs = sum(c.p_max for c in scenario.consumers)
-    rhs = sum(g.p_min - g.B * g.p_max * g.p_max for g in scenario.generators)
-    return lhs - rhs >= 0.0, lhs - rhs
-
-
 # ---------------------------------------------------------------------------
 # KKT certification
 
@@ -230,6 +207,7 @@ def kkt_check(
     not as errors.
     """
     P = np.asarray(P, dtype=float)
+    agents = scenario.agents
     n = scenario.n_nodes
     gamma = np.zeros(n)
     nu = np.zeros(n)
@@ -239,13 +217,12 @@ def kkt_check(
 
     net_supply = 0.0
     demand = 0.0
-    for i in range(n):
-        params = scenario.node_params(i)
-        Pi = float(P[i])
-        if scenario.graph.node_kind[i] is NodeKind.GENERATOR:
+    net = agents.net(P).tolist()
+    for i, (params, Pi) in enumerate(zip(agents.params, P.tolist(), strict=True)):
+        if isinstance(params, GeneratorParams):
             # stationarity: C'(P) - lam*(1 - 2BP) - gamma + nu = 0
             expr = params.marginal_cost(Pi) - lam * (1.0 - 2.0 * params.B * Pi)
-            net_supply += Pi - params.B * Pi * Pi
+            net_supply += net[i]
         else:
             # stationarity: lam - U'(P) - gamma + nu = 0
             expr = lam - params.marginal_utility(Pi)
@@ -434,10 +411,6 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
         np.interp(S_best, demand_knots[::-1], mu_knots[::-1])
     )
     P = np.empty(scenario.n_nodes)
-    gi = iter(best_gen)
-    for i in range(scenario.n_nodes):
-        if scenario.graph.node_kind[i] is NodeKind.GENERATOR:
-            P[i] = next(gi)
-        else:
-            P[i] = consumer_response(scenario.node_params(i), mu)
+    P[list(scenario.generator_nodes)] = best_gen
+    P[list(scenario.consumer_nodes)] = [consumer_response(c, mu) for c in scenario.consumers]
     return BruteForceResult(P=P, objective=best_val, grid_step=grid_step)

@@ -11,8 +11,10 @@ raising, so invalid data can be inspected.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -87,15 +89,6 @@ class Digraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "node_kind", tuple(NodeKind(k) for k in self.node_kind))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in set(self.edges)
-
-    def in_neighbors(self, i: int) -> list:
-        return sorted({u for (u, v) in self.edges if v == i})
-
-    def out_neighbors(self, i: int) -> list:
-        return sorted({v for (u, v) in self.edges if u == i})
-
     def has_all_self_loops(self) -> bool:
         es = set(self.edges)
         return all((i, i) in es for i in range(self.n))
@@ -137,6 +130,20 @@ class WeightMatrices:
             object.__setattr__(self, name, arr)
 
 
+@dataclass(frozen=True, eq=False)
+class AgentView:
+    """Node i's parameters, sign (-1 generator, +1 consumer: producing drains
+    surplus) and loss coefficient (B, or 0 for a consumer), in node order."""
+
+    params: tuple
+    sign: np.ndarray
+    loss: np.ndarray
+
+    def net(self, P: np.ndarray) -> np.ndarray:
+        """Net injection P - B*P^2 of every node."""
+        return P - self.loss * P * P
+
+
 @dataclass(frozen=True)
 class Scenario:
     generators: tuple
@@ -164,11 +171,24 @@ class Scenario:
     def consumer_nodes(self) -> tuple:
         return tuple(i for i, k in enumerate(self.graph.node_kind) if k is NodeKind.CONSUMER)
 
+    @cached_property
+    def agents(self) -> AgentView:
+        """Node-order view, built once; the j-th generator-kind node maps to
+        generators[j]. Raises ValueError if kind and parameter counts differ."""
+        gen = list(self.generator_nodes)
+        params = [None] * len(self.graph.node_kind)
+        for nodes, group in ((gen, self.generators), (self.consumer_nodes, self.consumers)):
+            for node, p in zip(nodes, group, strict=True):
+                params[node] = p
+        sign = np.ones(len(params))
+        sign[gen] = -1.0
+        loss = np.zeros(len(params))
+        loss[gen] = [g.B for g in self.generators]
+        return AgentView(params=tuple(params), sign=sign, loss=loss)
+
     def node_params(self, i: int) -> AgentParams:
-        """Parameters of node i; the j-th generator-kind node maps to generators[j]."""
-        kind = self.graph.node_kind[i]
-        before = sum(1 for k in self.graph.node_kind[:i] if k is kind)
-        return (self.generators if kind is NodeKind.GENERATOR else self.consumers)[before]
+        """Parameters of node i."""
+        return self.agents.params[i]
 
 
 @dataclass(frozen=True, order=True)
@@ -307,15 +327,16 @@ def validate_scenario(s: Scenario) -> list:
         for j in np.nonzero(col_err > STOCHASTIC_TOL)[0]:
             add(int(j), "weights.Q_col_stochastic",
                 f"column {j} of Q sums to {Q[:, j].sum()!r}, off by {col_err[j]:.3e}")
-        es = set(s.graph.edges)
-        for i in range(n):
-            for j in range(n):
-                if i == j or (j, i) in es:
-                    continue
-                if W[i, j] > 0:
-                    add(i, "weights.W_sparsity", f"W[{i}][{j}] > 0 without edge {j}->{i}")
-                if Q[i, j] > 0:
-                    add(i, "weights.Q_sparsity", f"Q[{i}][{j}] > 0 without edge {j}->{i}")
+        # entry [i][j] carries j -> i, so it needs edge (j, i) or i == j
+        no_edge = ~np.eye(n, dtype=bool)
+        for u, v in s.graph.edges:
+            no_edge[v, u] = False
+        for name, M in (("W", W), ("Q", Q)):
+            if not np.all(np.isfinite(M)):
+                add(-1, "weights.finite", f"{name} has non-finite entries")
+            for i, j in zip(*np.nonzero((M > 0) & no_edge)):
+                add(int(i), f"weights.{name}_sparsity",
+                    f"{name}[{i}][{j}] > 0 without edge {j}->{i}")
 
     if not (_finite(s.eta) and 0 < s.eta < 1):
         add(-1, "scenario.eta", f"eta = {s.eta} must satisfy 0 < eta < 1")
@@ -323,8 +344,8 @@ def validate_scenario(s: Scenario) -> list:
         add(-1, "scenario.eps_m", f"eps_m = {s.eps_m} must be > 0")
     if not (_finite(s.eps_l) and s.eps_l > 0):
         add(-1, "scenario.eps_l", f"eps_l = {s.eps_l} must be > 0")
-    if s.max_iters < 1:
-        add(-1, "scenario.max_iters", f"max_iters = {s.max_iters} must be >= 1")
+    if not (isinstance(s.max_iters, numbers.Integral) and s.max_iters >= 1):
+        add(-1, "scenario.max_iters", f"max_iters = {s.max_iters!r} must be an integer >= 1")
 
     return sorted(out)
 

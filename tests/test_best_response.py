@@ -11,6 +11,7 @@ from cemasim import (
     generator_response_original,
     lambda_init,
 )
+from cemasim.best_response import responses
 from conftest import (
     consumer_compare,
     generator_corrected_compare,
@@ -230,3 +231,16 @@ class TestFixedPointIdentities:
                 continue
             checked += 1
             assert (2.0 * p.a * P + p.b) / (1.0 - 2.0 * p.B * P) == pytest.approx(lam, abs=1e-10)
+
+
+class TestResponsesLoop:
+    def test_matches_scalar_closed_forms_per_node(self, table1):
+        lam = np.array([-3.0, 6.1745, 0.0, 12.5])
+        for gen_resp in (generator_response_original, generator_response_corrected):
+            want = [gen_resp(p, x) if isinstance(p, GeneratorParams) else consumer_response(p, x)
+                    for p, x in zip(table1.agents.params, lam.tolist())]
+            np.testing.assert_array_equal(responses(table1.agents, lam, gen_resp), want)
+
+    def test_rejects_wrong_price_count(self, table1):
+        with pytest.raises(ValueError):
+            responses(table1.agents, [1.0, 2.0], generator_response_corrected)

@@ -66,6 +66,18 @@ class TestRunCommand:
         path.write_text(json.dumps(d))
         assert main(["run", "--scenario", str(path), "--output-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("matrix", ["W", "Q"])
+    def test_non_finite_weights_exit_one_without_traceback(self, tmp_path, capsys, matrix):
+        path = tmp_path / "bad.json"
+        d = scenario_to_dict(table1_scenario())
+        d["weights"][matrix][1][1] = float("nan")
+        path.write_text(json.dumps(d))
+        assert main(["run", "--scenario", str(path), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert (f"invalid scenario: node=-1 rule=weights.finite: {matrix} has non-finite entries"
+                in err.splitlines())
+        assert "Traceback" not in err
+
     def test_non_converging_overrides_exit_two(self, table1_file, tmp_path):
         code = main(["run", "--scenario", table1_file, "--variant", "corrected",
                      "--output-dir", str(tmp_path), "--eta", "0.9",

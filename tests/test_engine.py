@@ -10,6 +10,7 @@ from cemasim import (
     GeneratorParams,
     InvalidScenarioError,
     Scenario,
+    WeightMatrices,
     build_uniform_weights,
     implied_prices,
     lambda_init,
@@ -198,6 +199,13 @@ class TestRun:
     def test_invalid_scenario_rejected(self, table1):
         s = dataclasses.replace(table1, eta=2.0)
         with pytest.raises(InvalidScenarioError):
+            run(s, "corrected")
+
+    def test_non_finite_weights_rejected(self, table1):
+        W = table1.weights.W.copy()
+        W[0, 1] = np.nan
+        s = dataclasses.replace(table1, weights=WeightMatrices(W=W, Q=table1.weights.Q))
+        with pytest.raises(InvalidScenarioError, match="W has non-finite entries"):
             run(s, "corrected")
 
     def test_trace_stride_keeps_endpoints(self, table1):

@@ -188,6 +188,41 @@ class TestValidateScenario:
         s = dataclasses.replace(table1, weights=WeightMatrices(W=W, Q=table1.weights.Q))
         rules = {v.rule for v in validate_scenario(s)}
         assert rules == {"weights.W_sparsity"}
+        # moving column 2's self-loop mass of Q to row 0 keeps Q stochastic
+        Q = table1.weights.Q.copy()
+        Q[0, 2] = Q[2, 2]
+        Q[2, 2] = 0.0
+        s = dataclasses.replace(table1, weights=WeightMatrices(W=W, Q=Q))
+        assert [(v.node, v.rule, v.message) for v in validate_scenario(s)] == [
+            (0, "weights.Q_sparsity", "Q[0][2] > 0 without edge 2->0"),
+            (0, "weights.W_sparsity", "W[0][2] > 0 without edge 2->0"),
+        ]
+
+    @pytest.mark.parametrize("name", ["W", "Q"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weights_flagged(self, table1, name, bad):
+        import dataclasses
+        M = getattr(table1.weights, name).copy()
+        M[1, 1] = bad
+        weights = WeightMatrices(**{"W": table1.weights.W, "Q": table1.weights.Q, name: M})
+        violations = validate_scenario(dataclasses.replace(table1, weights=weights))
+        assert (-1, "weights.finite", f"{name} has non-finite entries") in [
+            (v.node, v.rule, v.message) for v in violations
+        ]
+
+    @pytest.mark.parametrize("max_iters", [2.5, float("nan"), 0, "10"])
+    def test_max_iters_must_be_integer(self, table1, max_iters):
+        import dataclasses
+        s = dataclasses.replace(table1, max_iters=max_iters)
+        assert [v.rule for v in validate_scenario(s)] == ["scenario.max_iters"]
+
+    def test_count_mismatch_is_a_violation_not_an_error(self, table1):
+        import dataclasses
+        s = dataclasses.replace(table1, consumers=table1.consumers[:1])
+        rules = {v.rule for v in validate_scenario(s)}
+        assert {"scenario.node_count", "scenario.kind_counts"} <= rules
+        with pytest.raises(ValueError):
+            s.agents
 
     def test_ordering_deterministic(self):
         bad_gen = GeneratorParams(a=-1.0, b=5.0, c=1.0, B=0.0, p_min=-2.0, p_max=-3.0)
@@ -219,6 +254,25 @@ class TestNodeMapping:
         assert s.node_params(2) is s.generators[1]
         assert s.node_params(1) is s.consumers[0]
         assert s.node_params(3) is s.consumers[1]
+
+    def test_agent_view_interleaved_kinds(self):
+        cons = (ConsumerParams(w=18.43, alpha=0.0545, p_min=50.0, p_max=100.34),
+                ConsumerParams(w=13.17, alpha=0.0877, p_min=100.0, p_max=159.13))
+        edges = [(i, i) for i in range(4)] + [(i, (i + 1) % 4) for i in range(4)]
+        graph = Digraph(n=4, edges=edges,
+                        node_kind=["generator", "consumer", "generator", "consumer"])
+        s = Scenario(generators=(GEN1, GEN2), consumers=cons, graph=graph,
+                     weights=build_uniform_weights(graph),
+                     eta=0.002, eps_m=1e-8, eps_l=1e-8, max_iters=10)
+        agents = s.agents
+        assert s.agents is agents
+        assert agents.params == (GEN1, cons[0], GEN2, cons[1])
+        np.testing.assert_array_equal(agents.sign, [-1.0, 1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(agents.loss, [GEN1.B, 0.0, GEN2.B, 0.0])
+        np.testing.assert_array_equal(
+            agents.net(np.array([81.98, 90.0, 124.80, 110.0])),
+            [net_injection(GEN1, 81.98), 90.0, net_injection(GEN2, 124.80), 110.0],
+        )
 
 
 class TestScenarioFiles:
