@@ -57,10 +57,14 @@ def _load(path: str):
         return None, _fail(f"cannot read scenario {path!r}: {exc}")
     violations = validate_scenario(scenario)
     if violations:
-        for v in violations:
-            print(f"invalid scenario: node={v.node} rule={v.rule}: {v.message}", file=sys.stderr)
-        return None, EXIT_BAD_INPUT
+        return None, _invalid(violations)
     return scenario, None
+
+
+def _invalid(violations) -> int:
+    for v in violations:
+        print(f"invalid scenario: node={v.node} rule={v.rule}: {v.message}", file=sys.stderr)
+    return EXIT_BAD_INPUT
 
 
 def _interior_gen_prices(scenario: Scenario, P_full: np.ndarray, variant: str):
@@ -327,18 +331,16 @@ def cmd_counterexample(args) -> int:
         scenario = table1_scenario()
 
     # with no transmission losses anywhere the two updates are identical and
-    # there is nothing to contradict
-    if all(g.B == 0 for g in scenario.generators):
+    # there is nothing to contradict; B = 0 is then the one violation let pass
+    violations = validate_scenario(scenario)
+    lossless = all(g.B == 0 for g in scenario.generators)
+    if violations and not (lossless and all(v.rule == "gen.B_positive" for v in violations)):
+        return _invalid(violations)
+    if lossless:
         payload = {"coincide": True}
         text = _counterexample_text(payload)
         _emit_counterexample(args, payload, text)
         return EXIT_NO_CONTRADICTION
-
-    violations = validate_scenario(scenario)
-    if violations:
-        for v in violations:
-            print(f"invalid scenario: node={v.node} rule={v.rule}: {v.message}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
     try:
         payload, status = _counterexample_payload(scenario)

@@ -15,7 +15,6 @@ which is the engine's primary structural invariant.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,12 +153,14 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     net = agents.net(P)
     xi = np.zeros(n)
 
+    # every round binds fresh arrays and none is mutated afterwards, so a
+    # record can hold them without copying
     def record(k, lam_v, P_v, xi_v, mism):
         return IterationRecord(
             k=k,
-            lam=lam_v.copy(),
-            P=P_v.copy(),
-            xi=xi_v.copy(),
+            lam=lam_v,
+            P=P_v,
+            xi=xi_v,
             mismatch=mism,
             lambda_spread=float(lam_v.max() - lam_v.min()),
         )
@@ -181,8 +182,9 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
         if gap > max_gap:
             max_gap = gap
 
+        max_abs_xi = np.abs(xi_new).max()
         if not (np.all(np.isfinite(lam_new)) and np.all(np.isfinite(xi_new))) or (
-            np.abs(xi_new).max() > SURPLUS_DIVERGENCE_LIMIT
+            max_abs_xi > SURPLUS_DIVERGENCE_LIMIT
         ):
             lam, P, xi = lam_new, P_new, xi_new
             trace.append(record(k, lam, P, xi, mism))
@@ -190,7 +192,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
             break
 
         done = (
-            np.abs(xi_new).max() <= scenario.eps_m
+            max_abs_xi <= scenario.eps_m
             and np.abs(lam_new - lam).max() <= scenario.eps_l
         )
         lam, P, xi, net = lam_new, P_new, xi_new, net_new
@@ -213,31 +215,36 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
 
 # ---------------------------------------------------------------------------
 # trace serialization, 17 significant digits throughout
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+#
+# Rows end in CRLF, the csv module's default line ending that earlier versions
+# wrote with; keeping it keeps the files byte-identical. "%.17g" % x and
+# f"{x:.17g}" go through the same float formatter. One kept round is one
+# %-operation on a per-file template and one write: nothing holds more than a
+# round, so memory stays flat in the number of rounds.
 
 
 def write_trace_csv(result: RunResult, scenario: Scenario, path) -> None:
     """One row per (round, node): k,node_id,kind,lambda,P,xi."""
-    kinds = [k.value for k in scenario.graph.node_kind]
+    n = scenario.n_nodes
+    template = "".join(
+        f"%d,{i},{kind.value},%.17g,%.17g,%.17g\r\n"
+        for i, kind in enumerate(scenario.graph.node_kind)
+    )
+    fields = [0] * (4 * n)
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "node_id", "kind", "lambda", "P", "xi"])
+        f.write("k,node_id,kind,lambda,P,xi\r\n")
         for rec in result.trace:
-            for i in range(scenario.n_nodes):
-                writer.writerow(
-                    [rec.k, i, kinds[i], _fmt(rec.lam[i]), _fmt(rec.P[i]), _fmt(rec.xi[i])]
-                )
+            fields[0::4] = [rec.k] * n
+            fields[1::4] = rec.lam.tolist()
+            fields[2::4] = rec.P.tolist()
+            fields[3::4] = rec.xi.tolist()
+            f.write(template % tuple(fields))
 
 
 def write_round_summary_csv(result: RunResult, path) -> None:
     """One row per round: k,mismatch,lambda_spread,max_abs_xi."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["k", "mismatch", "lambda_spread", "max_abs_xi"])
+        f.write("k,mismatch,lambda_spread,max_abs_xi\r\n")
         for rec in result.trace:
-            writer.writerow(
-                [rec.k, _fmt(rec.mismatch), _fmt(rec.lambda_spread), _fmt(float(np.abs(rec.xi).max()))]
-            )
+            f.write("%d,%.17g,%.17g,%.17g\r\n"
+                    % (rec.k, rec.mismatch, rec.lambda_spread, np.abs(rec.xi).max()))

@@ -377,6 +377,14 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _exact_int(x):
+    """An integral float as int; any other value as given, for validate_scenario
+    to judge (int() would load 2.5 as 2 and "10" as 10)."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    return x
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     generators = tuple(GeneratorParams(**g) for g in d["generators"])
     consumers = tuple(ConsumerParams(**c) for c in d["consumers"])
@@ -404,7 +412,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         eta=float(d["eta"]),
         eps_m=float(d["eps_m"]),
         eps_l=float(d["eps_l"]),
-        max_iters=int(d["max_iters"]),
+        max_iters=_exact_int(d["max_iters"]),
     )
 
 

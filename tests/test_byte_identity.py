@@ -1,8 +1,10 @@
 """Pinned SHA-256 digests of CLI outputs: refactors must keep every byte.
 
 The digests were recorded from the CLI before the node-order agent view and
-the shared best-response loop existed. A change to any number, its 17-digit
-formatting, the order of a sum or the layout of a report shows up here.
+the shared best-response loop existed; the strided and capped cases were
+recorded before the trace writers dropped `csv.writer`. A change to any
+number, its 17-digit formatting, the order of a sum or the layout of a report
+shows up here.
 """
 
 import hashlib
@@ -39,6 +41,22 @@ RUN_DIGESTS = {
         "trace_corrected": "64eb3308e65d87270a6f7632df46bce1672ffd0a1c957f8d0d745c1b5bb61a99",
         "rounds_corrected": "102c81a58e1d6554e853fe48c12ddb21b2317cecb048d5d39237baeb4e09cf6b",
         "report_corrected": "68f156d2c411bc8a419e6b85e9de3dd9fd11cf9ac275958f84eb644011b19b0b",
+    },
+    "table1-stride-7": {
+        "trace_original": "ace5fc977a448e49dc15f408a7e3637aa7e31c287fb30ebb314eccc6dec2bba3",
+        "rounds_original": "11ca2285cabe706b7293ea59f597e6263cd740d1060b3cbae7d2815a9fdeef2f",
+        "report_original": "9f72723fc794caaa52a4a0fd34f1c33c68fda399be7cc51a333f36741f0939d6",
+        "trace_corrected": "58f37de7a1b70bcfcf76495e34364448a8f126052f90369ee6172c763c5c4469",
+        "rounds_corrected": "46fc035a20277c17d1a10c1c9d9e94b02bdf661238da25018ac3e52a86fa49ea",
+        "report_corrected": "acf514aafb8c4fba395b9a6a05c9cd72fb2eb0002b4456439e17022c5d99fd0f",
+    },
+    "random-1-5-5-capped": {
+        "trace_original": "441a6f8f882e5b7788cfb5f0931ebf6ec99ab55b4a6fb21002cabb3d5be4bb5a",
+        "rounds_original": "371e5522c73bdb090a7b2c299db5f2989837f441b8d5fb6666675217cd915b43",
+        "report_original": "3dfb5c4ed2c85a9f1f56f853a64a3c6a5a6667053decbb5abd0adbbe8945053c",
+        "trace_corrected": "01b53ff46e0e70db7095aa9e89f3b879dcd8e1e60008e8848c3fd0e5c5ff6a8e",
+        "rounds_corrected": "22aaf2c3b0c8731dcdf1ff0d0f46ec79c7a60a518b868532eb27442e15eb137a",
+        "report_corrected": "d8c9f7d925aabcaae07a10c5ea9e0d8378e1600ccd365adca0d6c0b646494f98",
     },
 }
 SOLVE_STDOUT_DIGEST = "75d121a22d16f92d18985f7e498af56dc5c8f162ae718e968f8496481cf0a591"
@@ -78,6 +96,10 @@ def scenario_files(tmp_path_factory):
         ("random-1-5-5", "random-1-5-5", ()),
         # the gain that reaches the concave (curv <= 0) generator branch
         ("table1-eta-0.05", "table1", ("--eta", "0.05", "--max-iters", "500")),
+        # a strided trace whose final rows (284, 254) are off the stride
+        ("table1-stride-7", "table1", ("--trace-stride", "7")),
+        # both variants stop by-max-iters at round 300 (tolerance needs 418/433)
+        ("random-1-5-5-capped", "random-1-5-5", ("--max-iters", "300", "--trace-stride", "50")),
     ],
 )
 def test_run_outputs_byte_identical(scenario_files, tmp_path, case, scenario, extra):

@@ -78,6 +78,18 @@ class TestRunCommand:
                 in err.splitlines())
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("max_iters", [2.5, float("nan"), "10"])
+    def test_non_integer_max_iters_exit_one_without_traceback(self, tmp_path, capsys,
+                                                               max_iters):
+        path = tmp_path / "bad.json"
+        d = scenario_to_dict(table1_scenario())
+        d["max_iters"] = max_iters
+        path.write_text(json.dumps(d))
+        assert main(["run", "--scenario", str(path), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid scenario: node=-1 rule=scenario.max_iters: " in err
+        assert "Traceback" not in err
+
     def test_non_converging_overrides_exit_two(self, table1_file, tmp_path):
         code = main(["run", "--scenario", table1_file, "--variant", "corrected",
                      "--output-dir", str(tmp_path), "--eta", "0.9",
@@ -173,6 +185,21 @@ class TestCounterexampleCommand:
         code = main(["counterexample", "--scenario", str(path), "--report", str(report)])
         assert code == 3
         assert "coincide" in report.read_text()
+
+    def test_zero_loss_scenario_is_still_validated(self, tmp_path, capsys):
+        d = scenario_to_dict(table1_scenario(eta=5.0))
+        for g in d["generators"]:
+            g["B"] = 0.0
+        d["weights"]["W"][0][0] = float("nan")
+        path = tmp_path / "lossless-bad.json"
+        path.write_text(json.dumps(d))
+        report = tmp_path / "cx.txt"
+        code = main(["counterexample", "--scenario", str(path), "--report", str(report)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "rule=weights.finite" in err
+        assert "rule=scenario.eta" in err
+        assert not report.exists()
 
     def test_non_converging_scenario_exits_two(self, tmp_path):
         s = table1_scenario(eta=0.9, max_iters=2000)

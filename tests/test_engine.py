@@ -324,6 +324,56 @@ class TestTraceSerialization:
         assert int(last[0]) == result.rounds
         assert abs(float(last[3])) <= table1.eps_m
 
+    def test_writers_match_csv_module_on_edge_values(self, table1, tmp_path):
+        import csv
+
+        from cemasim.engine import (
+            IterationRecord,
+            RunResult,
+            write_round_summary_csv,
+            write_trace_csv,
+        )
+
+        edge = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16 + 2, 0.1, -123.456]
+
+        def rec(k, lam, P, xi, mism, spread):
+            return IterationRecord(k=k, lam=np.array(lam), P=np.array(P), xi=np.array(xi),
+                                   mismatch=mism, lambda_spread=spread)
+
+        trace = [
+            rec(0, edge[0:4], edge[4:8], edge[2:6], -0.0, float("nan")),
+            rec(7, edge[4:8], edge[0:4], [5e-324, -0.0, 1e16 + 2, 0.1], float("inf"), 5e-324),
+            rec(10**6 + 3, edge[1:5], edge[3:7], [-0.0, 0.1, -123.456, float("-inf")],
+                1e16 + 2, float("-inf")),
+        ]
+        result = RunResult(trace=trace, terminated=TERMINATED_BY_MAX_ITERS, final_states=[],
+                           variant="corrected", rounds=10**6 + 3, max_conservation_gap=0.0)
+        write_trace_csv(result, table1, tmp_path / "trace.csv")
+        write_round_summary_csv(result, tmp_path / "rounds.csv")
+
+        # the csv.writer path the writers replaced, on numpy scalars
+        kinds = [k.value for k in table1.graph.node_kind]
+        with open(tmp_path / "trace_ref.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["k", "node_id", "kind", "lambda", "P", "xi"])
+            for r in trace:
+                for i in range(table1.n_nodes):
+                    writer.writerow([r.k, i, kinds[i], f"{r.lam[i]:.17g}", f"{r.P[i]:.17g}",
+                                     f"{r.xi[i]:.17g}"])
+        with open(tmp_path / "rounds_ref.csv", "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["k", "mismatch", "lambda_spread", "max_abs_xi"])
+            for r in trace:
+                writer.writerow([r.k, f"{r.mismatch:.17g}", f"{r.lambda_spread:.17g}",
+                                 f"{float(np.abs(r.xi).max()):.17g}"])
+
+        for name in ("trace", "rounds"):
+            got = (tmp_path / f"{name}.csv").read_bytes()
+            assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
+        rows = (tmp_path / "trace.csv").read_bytes().split(b"\r\n")
+        assert rows[1] == b"0,0,generator,-0,4.9406564584124654e-324,inf"
+        assert rows[-2] == b"1000003,3,consumer,4.9406564584124654e-324,0.10000000000000001,-inf"
+
 
 class TestMismatch:
     def test_all_zero_power(self, table1):

@@ -303,6 +303,20 @@ class TestScenarioFiles:
         assert s.graph.edges == table1.graph.edges
         np.testing.assert_array_equal(s.weights.W, table1.weights.W)
 
+    @pytest.mark.parametrize("max_iters", [2.5, float("nan"), "10"])
+    def test_non_integer_max_iters_loads_unconverted(self, table1, max_iters):
+        d = scenario_to_dict(table1)
+        d["max_iters"] = max_iters
+        s = scenario_from_dict(json.loads(json.dumps(d)))
+        assert [v.rule for v in validate_scenario(s)] == ["scenario.max_iters"]
+
+    def test_integral_float_max_iters_loads_as_int(self, table1):
+        d = scenario_to_dict(table1)
+        d["max_iters"] = 300.0
+        s = scenario_from_dict(d)
+        assert type(s.max_iters) is int and s.max_iters == 300
+        assert validate_scenario(s) == []
+
     def test_unknown_preset_rejected(self, table1):
         d = scenario_to_dict(table1)
         d["graph"] = {"preset": "mesh9"}
