@@ -9,7 +9,6 @@ from .best_response import (
 from .engine import (
     InvalidScenarioError,
     IterationRecord,
-    NodeState,
     RunResult,
     lambda_step,
     mismatch,

@@ -81,10 +81,9 @@ def lambda_init(params: AgentParams) -> float:
     (loss-adjusted), marginal utility at the cap for consumers.
     """
     if isinstance(params, GeneratorParams):
-        divisor = 1.0 - 2.0 * params.B * params.p_min
-        if divisor <= 0.0:
+        if params.marginal_net(params.p_min) <= 0.0:
             raise ValueError("2*B*p_min >= 1; loss-adjusted marginal cost undefined")
-        return params.marginal_cost(params.p_min) / divisor
+        return params.loss_adjusted_marginal_cost(params.p_min)
     if isinstance(params, ConsumerParams):
         if params.p_max <= params.saturation:
             return params.w - 2.0 * params.alpha * params.p_max

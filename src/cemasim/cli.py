@@ -193,8 +193,10 @@ def cmd_kkt(args) -> int:
                 cand = json.load(f)
             P = np.asarray(cand["P"], dtype=float)
             lam = float(cand["lambda"])
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             return _fail(f"cannot read candidate {args.candidate!r}: {exc}")
+        if P.ndim != 1:
+            return _fail(f"cannot read candidate {args.candidate!r}: P has shape {P.shape}")
         if P.size != scenario.n_nodes:
             return _fail(
                 f"candidate has {P.size} powers for {scenario.n_nodes} nodes"

@@ -40,13 +40,6 @@ class InvalidScenarioError(ValueError):
         super().__init__(f"invalid scenario: {lines}")
 
 
-@dataclass(frozen=True)
-class NodeState:
-    lam: float
-    P: float
-    xi: float
-
-
 @dataclass(frozen=True, eq=False)
 class IterationRecord:
     k: int
@@ -61,24 +54,24 @@ class IterationRecord:
 class RunResult:
     trace: list
     terminated: str
-    final_states: list
     variant: str
     rounds: int
     # largest per-round |sum(xi) - mismatch| seen, tracked even when the
     # trace is strided
     max_conservation_gap: float
 
+    # the trace always ends with the final round; copies keep it unmutated
     @property
     def final_lambda(self) -> np.ndarray:
-        return np.array([s.lam for s in self.final_states])
+        return self.trace[-1].lam.copy()
 
     @property
     def final_P(self) -> np.ndarray:
-        return np.array([s.P for s in self.final_states])
+        return self.trace[-1].P.copy()
 
     @property
     def final_xi(self) -> np.ndarray:
-        return np.array([s.xi for s in self.final_states])
+        return self.trace[-1].xi.copy()
 
 
 def mismatch(P: np.ndarray, scenario: Scenario) -> float:
@@ -186,8 +179,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
         if not (np.all(np.isfinite(lam_new)) and np.all(np.isfinite(xi_new))) or (
             max_abs_xi > SURPLUS_DIVERGENCE_LIMIT
         ):
-            lam, P, xi = lam_new, P_new, xi_new
-            trace.append(record(k, lam, P, xi, mism))
+            trace.append(record(k, lam_new, P_new, xi_new, mism))
             terminated = TERMINATED_DIVERGED
             break
 
@@ -202,11 +194,9 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
             terminated = TERMINATED_BY_TOLERANCE
             break
 
-    final_states = [NodeState(lam=float(lam[i]), P=float(P[i]), xi=float(xi[i])) for i in range(n)]
     return RunResult(
         trace=trace,
         terminated=terminated,
-        final_states=final_states,
         variant=variant,
         rounds=rounds,
         max_conservation_gap=max_gap,

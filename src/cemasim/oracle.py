@@ -79,7 +79,7 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_SOLVE_TOL) -> Cen
         raise InfeasibleScenarioError(
             f"demand headroom violated: sum_cons p_max - sum_gen (p_min - B*p_max^2) = {slack}"
         )
-    max_supply = sum(g.p_max - g.B * g.p_max * g.p_max for g in scenario.generators)
+    max_supply = sum(g.net(g.p_max) for g in scenario.generators)
     min_demand = sum(c.p_min for c in scenario.consumers)
     if max_supply < min_demand:
         raise InfeasibleScenarioError(
@@ -100,7 +100,7 @@ def solve_centralized(scenario: Scenario, tol: float = DEFAULT_SOLVE_TOL) -> Cen
 
     hi = 0.0
     for g in scenario.generators:
-        hi = max(hi, g.marginal_cost(g.p_max) / (1.0 - 2.0 * g.B * g.p_max))
+        hi = max(hi, g.loss_adjusted_marginal_cost(g.p_max))
     for c in scenario.consumers:
         hi = max(hi, c.marginal_utility(c.p_min))
     if hi <= 0.0:
@@ -191,13 +191,7 @@ class KktReport:
         }
 
 
-def kkt_check(
-    P: np.ndarray,
-    lam: float,
-    scenario: Scenario,
-    tol: float = 1e-6,
-    active_tol: float = ACTIVE_BOUND_TOL,
-) -> KktReport:
+def kkt_check(P: np.ndarray, lam: float, scenario: Scenario, tol: float = 1e-6) -> KktReport:
     """Certify a candidate (P, lam) against the first-order conditions.
 
     Bound multipliers are recovered from complementarity: they are nonzero
@@ -221,7 +215,7 @@ def kkt_check(
     for i, (params, Pi) in enumerate(zip(agents.params, P.tolist(), strict=True)):
         if isinstance(params, GeneratorParams):
             # stationarity: C'(P) - lam*(1 - 2BP) - gamma + nu = 0
-            expr = params.marginal_cost(Pi) - lam * (1.0 - 2.0 * params.B * Pi)
+            expr = params.marginal_cost(Pi) - lam * params.marginal_net(Pi)
             net_supply += net[i]
         else:
             # stationarity: lam - U'(P) - gamma + nu = 0
@@ -229,8 +223,8 @@ def kkt_check(
             demand += Pi
         lower_slack[i] = Pi - params.p_min
         upper_slack[i] = params.p_max - Pi
-        at_lower = abs(Pi - params.p_min) <= active_tol
-        at_upper = abs(Pi - params.p_max) <= active_tol
+        at_lower = abs(Pi - params.p_min) <= ACTIVE_BOUND_TOL
+        at_upper = abs(Pi - params.p_max) <= ACTIVE_BOUND_TOL
         if at_lower and expr >= 0.0:
             gamma[i] = expr
         elif at_upper and expr <= 0.0:
@@ -284,16 +278,13 @@ def implied_prices(P_gen, scenario: Scenario, variant: str) -> np.ndarray:
     P_gen = np.asarray(P_gen, dtype=float)
     if P_gen.size != len(scenario.generators):
         raise ValueError("expected one power per generator")
-    out = np.empty(P_gen.size)
-    for j, g in enumerate(scenario.generators):
-        mc = g.marginal_cost(float(P_gen[j]))
-        if variant == "original":
-            out[j] = mc
-        elif variant == "corrected":
-            out[j] = mc / (1.0 - 2.0 * g.B * float(P_gen[j]))
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    return out
+    if variant == "original":
+        price = GeneratorParams.marginal_cost
+    elif variant == "corrected":
+        price = GeneratorParams.loss_adjusted_marginal_cost
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return np.array([price(g, x) for g, x in zip(scenario.generators, P_gen.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +302,8 @@ def _demand_curve(scenario: Scenario):
     """Knots of the piecewise-linear aggregate demand as a function of price."""
     knots = {0.0}
     for c in scenario.consumers:
-        knots.add(max(0.0, c.w - 2.0 * c.alpha * c.p_max))
-        knots.add(max(0.0, c.w - 2.0 * c.alpha * c.p_min))
+        knots.add(c.marginal_utility(c.p_max))
+        knots.add(c.marginal_utility(c.p_min))
     mu = np.array(sorted(knots))
     demand = np.zeros_like(mu)
     for c in scenario.consumers:
@@ -358,8 +349,7 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     resolved to the lexicographically smallest one. Cost grows with the
     product of the generator grids, so at most 3 generators are accepted.
     """
-    n_gen = len(scenario.generators)
-    if not (1 <= n_gen <= 3):
+    if not (1 <= len(scenario.generators) <= 3):
         raise ValueError("brute force supports 1 to 3 generators")
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -367,24 +357,19 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     mu_knots, demand_knots = _demand_curve(scenario)
     demand_floor = sum(c.p_min for c in scenario.consumers)
     grids = [_axis_grid(g.p_min, g.p_max, grid_step) for g in scenario.generators]
-    nets = [grid - g.B * grid * grid for g, grid in zip(scenario.generators, grids)]
-    costs = [g.a * grid * grid + g.b * grid + g.c for g, grid in zip(scenario.generators, grids)]
+    nets = [g.net(grid) for g, grid in zip(scenario.generators, grids)]
+    costs = [g.cost(grid) for g, grid in zip(scenario.generators, grids)]
 
     best_val = np.inf
     best_gen = None
     chunk = 128
     for s in range(0, len(grids[0]), chunk):
-        if n_gen == 1:
-            S = nets[0][s:s + chunk]
-            base = costs[0][s:s + chunk]
-        elif n_gen == 2:
-            S = nets[0][s:s + chunk, None] + nets[1][None, :]
-            base = costs[0][s:s + chunk, None] + costs[1][None, :]
-        else:
-            S = (nets[0][s:s + chunk, None, None] + nets[1][None, :, None]
-                 + nets[2][None, None, :])
-            base = (costs[0][s:s + chunk, None, None] + costs[1][None, :, None]
-                    + costs[2][None, None, :])
+        # generator k adds the last axis, summed in generator order
+        S = nets[0][s:s + chunk]
+        base = costs[0][s:s + chunk]
+        for net, cost in zip(nets[1:], costs[1:]):
+            S = S[..., None] + net
+            base = base[..., None] + cost
         obj = np.where(
             S >= demand_floor - 1e-12,
             base - _consumer_allocation_value(scenario, S, mu_knots, demand_knots),
@@ -393,19 +378,16 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
         flat = int(np.argmin(obj))
         val = float(obj.flat[flat])
         if val < best_val:
-            idx = np.unravel_index(flat, np.shape(obj))
-            point = [grids[0][s + idx[0]]]
-            for axis in range(1, n_gen):
-                point.append(grids[axis][idx[axis]])
+            idx = np.unravel_index(flat, obj.shape)
             best_val = val
-            best_gen = point
+            best_gen = [grids[0][s + idx[0]]] + [g[i] for g, i in zip(grids[1:], idx[1:])]
 
     if best_gen is None or not np.isfinite(best_val):
         raise InfeasibleScenarioError("no feasible grid point: demand floor exceeds net supply")
 
     # rebuild the full node vector: consumers at the balancing price of the
     # winning supply level
-    S_best = sum(g - gp.B * g * g for gp, g in zip(scenario.generators, best_gen))
+    S_best = sum(g.net(x) for g, x in zip(scenario.generators, best_gen))
     d0 = demand_knots[0]
     mu = 0.0 if S_best >= d0 else float(
         np.interp(S_best, demand_knots[::-1], mu_knots[::-1])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .best_response import consumer_response
 from .scenario import (
     ConsumerParams,
     Digraph,
@@ -129,13 +130,11 @@ def random_scenario(seed: int, n_generators: int = 2, n_consumers: int = 2) -> S
         holds, _ = check_feasibility_condition(scenario)
         if not holds:
             continue
-        max_supply = sum(g.p_max - g.B * g.p_max**2 for g in generators)
+        max_supply = sum(g.net(g.p_max) for g in generators)
         if max_supply < sum(c.p_min for c in consumers):
             continue
-        floor_supply = sum(g.p_min - g.B * g.p_min**2 for g in generators)
-        saturated_demand = sum(
-            min(max(c.saturation, c.p_min), c.p_max) for c in consumers
-        )
+        floor_supply = sum(g.net(g.p_min) for g in generators)
+        saturated_demand = sum(consumer_response(c, 0.0) for c in consumers)
         if floor_supply >= saturated_demand:
             continue
         return scenario

@@ -29,7 +29,11 @@ class NodeKind(str, Enum):
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Quadratic cost a*P^2 + b*P + c, loss coefficient B, capacity box."""
+    """Quadratic cost a*P^2 + b*P + c, loss coefficient B, capacity box.
+
+    The one home of the loss model (net injection P - B*P^2, its slope and the
+    loss-adjusted marginal cost); every method takes floats and arrays alike.
+    """
 
     a: float
     b: float
@@ -43,6 +47,18 @@ class GeneratorParams:
 
     def marginal_cost(self, P: float) -> float:
         return 2.0 * self.a * P + self.b
+
+    def net(self, P: float) -> float:
+        # output after quadratic transmission loss
+        return P - self.B * P * P
+
+    def marginal_net(self, P: float) -> float:
+        return 1.0 - 2.0 * self.B * P
+
+    def loss_adjusted_marginal_cost(self, P: float) -> float:
+        # the price at which P is the corrected best response; interior
+        # generators share it at the optimum
+        return self.marginal_cost(P) / self.marginal_net(P)
 
 
 @dataclass(frozen=True)
@@ -140,7 +156,8 @@ class AgentView:
     loss: np.ndarray
 
     def net(self, P: np.ndarray) -> np.ndarray:
-        """Net injection P - B*P^2 of every node."""
+        """Net injection P - B*P^2 of every node: GeneratorParams.net as one
+        node-order vector expression for the engine's round loop."""
         return P - self.loss * P * P
 
 
@@ -208,7 +225,7 @@ def net_injection(p: GeneratorParams, P: float) -> float:
     """
     if not (p.p_min - 1e-9 <= P <= p.p_max + 1e-9):
         raise ValueError(f"power {P} outside capacity box [{p.p_min}, {p.p_max}]")
-    return P - p.B * P * P
+    return p.net(P)
 
 
 def build_uniform_weights(g: Digraph) -> WeightMatrices:
@@ -242,6 +259,8 @@ def check_feasibility_condition(s: Scenario) -> tuple:
 
 
 def _finite(x) -> bool:
+    if isinstance(x, (bool, np.bool_)):
+        return False
     try:
         return bool(np.isfinite(x))
     except TypeError:
@@ -284,7 +303,7 @@ def validate_scenario(s: Scenario) -> list:
     for j, g in enumerate(s.generators):
         node = gen_nodes[j] if j < len(gen_nodes) else -1
         if not all(_finite(x) for x in (g.a, g.b, g.c, g.B, g.p_min, g.p_max)):
-            add(node, "gen.finite", f"generator {j} has non-finite parameters")
+            add(node, "gen.finite", f"generator {j} has non-finite or non-numeric parameters")
             continue
         if g.a <= 0:
             add(node, "gen.a_positive", f"generator {j}: a = {g.a} must be > 0")
@@ -301,7 +320,7 @@ def validate_scenario(s: Scenario) -> list:
     for j, c in enumerate(s.consumers):
         node = con_nodes[j] if j < len(con_nodes) else -1
         if not all(_finite(x) for x in (c.w, c.alpha, c.p_min, c.p_max)):
-            add(node, "con.finite", f"consumer {j} has non-finite parameters")
+            add(node, "con.finite", f"consumer {j} has non-finite or non-numeric parameters")
             continue
         if c.w <= 0:
             add(node, "con.w_positive", f"consumer {j}: w = {c.w} must be > 0")
@@ -344,7 +363,8 @@ def validate_scenario(s: Scenario) -> list:
         add(-1, "scenario.eps_m", f"eps_m = {s.eps_m} must be > 0")
     if not (_finite(s.eps_l) and s.eps_l > 0):
         add(-1, "scenario.eps_l", f"eps_l = {s.eps_l} must be > 0")
-    if not (isinstance(s.max_iters, numbers.Integral) and s.max_iters >= 1):
+    if not (isinstance(s.max_iters, numbers.Integral) and not isinstance(s.max_iters, bool)
+            and s.max_iters >= 1):
         add(-1, "scenario.max_iters", f"max_iters = {s.max_iters!r} must be an integer >= 1")
 
     return sorted(out)
@@ -385,6 +405,12 @@ def _exact_int(x):
     return x
 
 
+def _real(x):
+    """An int or a float as float; any other value, bool included, as given,
+    for validate_scenario to judge (float() would load "0.002" and true)."""
+    return float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else x
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     generators = tuple(GeneratorParams(**g) for g in d["generators"])
     consumers = tuple(ConsumerParams(**c) for c in d["consumers"])
@@ -409,9 +435,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         consumers=consumers,
         graph=graph,
         weights=weights,
-        eta=float(d["eta"]),
-        eps_m=float(d["eps_m"]),
-        eps_l=float(d["eps_l"]),
+        eta=_real(d["eta"]),
+        eps_m=_real(d["eps_m"]),
+        eps_l=_real(d["eps_l"]),
         max_iters=_exact_int(d["max_iters"]),
     )
 

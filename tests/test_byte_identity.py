@@ -2,16 +2,18 @@
 
 The digests were recorded from the CLI before the node-order agent view and
 the shared best-response loop existed; the strided and capped cases were
-recorded before the trace writers dropped `csv.writer`. A change to any
-number, its 17-digit formatting, the order of a sum or the layout of a report
-shows up here.
+recorded before the trace writers dropped `csv.writer`; the brute-force grid,
+`gen-scenario` and `counterexample` digests were recorded before the loss
+model moved into `GeneratorParams`. A change to any number, its 17-digit
+formatting, the order of a sum or the layout of a report shows up here.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from cemasim import save_scenario
+from cemasim import brute_force_reference, save_scenario
 from cemasim.cli import main
 from cemasim.presets import random_scenario, table1_scenario
 
@@ -61,6 +63,18 @@ RUN_DIGESTS = {
 }
 SOLVE_STDOUT_DIGEST = "75d121a22d16f92d18985f7e498af56dc5c8f162ae718e968f8496481cf0a591"
 KKT_REPORT_DIGEST = "9517318e0df3b670afe02580f9ee75ff00ad2152519c480e69a122e1ca78afb7"
+# SHA-256 of the JSON of (P, objective, grid_step)
+BRUTE_FORCE_DIGESTS = {
+    "table1-0.5": "6f37e7cc1ed50c8fd3f26b4f9b4de19bd821a2f1cb6f0dccacd20d5bbdfd3078",
+    "random-3-1-2-0.01": "6a4fc70c28161d5427ebac77be684ef0f2f60c2324ed3793f35b8e75a1822596",
+    "random-1-3-1-2.0": "df02bf913a1afdfc31ff86de7c7b4ae9e09708d5e5896f93c55c2a8f07c89fbb",
+}
+GEN_SCENARIO_DIGESTS = {
+    (0, 1, 4): "1e7707c899156f137de696779f276a36f0048b70abcce086a312752664d4278e",
+    (1, 3, 1): "ec4b808e83845232b86de67a6a3522eb6e944c3de0cd7bd73d9c8430213a846a",
+}
+COUNTEREXAMPLE_REPORT_DIGEST = "e7f46efe6885ba294f39ec6d4b731151b44af87a65907314535091e927a8293e"
+COUNTEREXAMPLE_SIDECAR_DIGEST = "ead4159c4254f7a71c6af0af2001453974ae50f77b48c215cf6bb03e33321b71"
 
 
 def _sha(data: bytes) -> str:
@@ -113,3 +127,37 @@ def test_solve_and_kkt_outputs_byte_identical(scenario_files, tmp_path, capsys):
     kkt = tmp_path / "kkt.json"
     assert main(["kkt", "--scenario", str(path), "--output", str(kkt)]) == 0
     assert _sha(kkt.read_bytes()) == KKT_REPORT_DIGEST
+
+
+# one case per generator count: 2, 1 and 3
+BRUTE_FORCE_CASES = {
+    "table1-0.5": (table1_scenario, (), 0.5),
+    "random-3-1-2-0.01": (random_scenario, (3, 1, 2), 0.01),
+    "random-1-3-1-2.0": (random_scenario, (1, 3, 1), 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRUTE_FORCE_CASES))
+def test_brute_force_reference_byte_identical(case):
+    make, args, step = BRUTE_FORCE_CASES[case]
+    res = brute_force_reference(make(*args), step)
+    text = json.dumps({"P": res.P.tolist(), "objective": res.objective, "grid_step": res.grid_step})
+    assert _sha(text.encode()) == BRUTE_FORCE_DIGESTS[case]
+
+
+# seed 0 with 1 generator / 4 consumers rejects its first draw on the maximal
+# net supply; seed 1 with 3 generators / 1 consumer rejects ten draws, one on
+# the demand headroom and the rest on the floor supply against saturated demand
+@pytest.mark.parametrize("seed, n_gen, n_con", sorted(GEN_SCENARIO_DIGESTS))
+def test_gen_scenario_file_byte_identical(tmp_path, seed, n_gen, n_con):
+    out = tmp_path / "scenario.json"
+    assert main(["gen-scenario", "--seed", str(seed), "--generators", str(n_gen),
+                 "--consumers", str(n_con), "--output", str(out)]) == 0
+    assert _sha(out.read_bytes()) == GEN_SCENARIO_DIGESTS[(seed, n_gen, n_con)]
+
+
+def test_counterexample_report_byte_identical(tmp_path):
+    report = tmp_path / "cx.txt"
+    assert main(["counterexample", "--report", str(report)]) == 0
+    assert _sha(report.read_bytes()) == COUNTEREXAMPLE_REPORT_DIGEST
+    assert _sha((tmp_path / "cx.json").read_bytes()) == COUNTEREXAMPLE_SIDECAR_DIGEST

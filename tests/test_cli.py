@@ -90,6 +90,31 @@ class TestRunCommand:
         assert "invalid scenario: node=-1 rule=scenario.max_iters: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, value", [("eta", "0.002"), ("eps_m", True),
+                                             ("max_iters", True)])
+    def test_non_numeric_constants_exit_one_without_traceback(self, tmp_path, capsys,
+                                                              name, value):
+        path = tmp_path / "bad.json"
+        d = scenario_to_dict(table1_scenario())
+        d[name] = value
+        path.write_text(json.dumps(d))
+        assert main(["run", "--scenario", str(path), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid scenario: node=-1 rule=scenario.{name}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eta", "5", "eta = 5.0 must satisfy 0 < eta < 1"),
+        ("--eps-m", "0", "eps_m = 0.0 must be > 0"),
+        ("--max-iters", "0", "max_iters = 0 must be an integer >= 1"),
+    ])
+    def test_invalid_override_exits_one(self, table1_file, tmp_path, capsys,
+                                        flag, value, message):
+        assert main(["run", "--scenario", table1_file, "--output-dir", str(tmp_path),
+                     flag, value]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"invalid override: {message}"]
+        assert not (tmp_path / "trace_corrected.csv").exists()
+
     def test_non_converging_overrides_exit_two(self, table1_file, tmp_path):
         code = main(["run", "--scenario", table1_file, "--variant", "corrected",
                      "--output-dir", str(tmp_path), "--eta", "0.9",
@@ -153,6 +178,20 @@ class TestKktCommand:
         cand = tmp_path / "cand.json"
         cand.write_text(json.dumps({"P": [1.0, 2.0], "lambda": 5.0}))
         assert main(["kkt", "--scenario", table1_file, "--candidate", str(cand)]) == 1
+
+    @pytest.mark.parametrize("content", [
+        [1, 2],
+        {"P": [67.646, 139.705, 100.34, 100.0], "lambda": None},
+        {"P": [[1, 2], [3, 4]], "lambda": 1},
+    ], ids=["list", "null-lambda", "2d-P"])
+    def test_malformed_candidate_files_exit_one_without_traceback(self, table1_file, tmp_path,
+                                                                  capsys, content):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps(content))
+        assert main(["kkt", "--scenario", table1_file, "--candidate", str(cand)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read candidate {str(cand)!r}: ")
+        assert "Traceback" not in err
 
 
 class TestCounterexampleCommand:

@@ -346,7 +346,7 @@ class TestTraceSerialization:
             rec(10**6 + 3, edge[1:5], edge[3:7], [-0.0, 0.1, -123.456, float("-inf")],
                 1e16 + 2, float("-inf")),
         ]
-        result = RunResult(trace=trace, terminated=TERMINATED_BY_MAX_ITERS, final_states=[],
+        result = RunResult(trace=trace, terminated=TERMINATED_BY_MAX_ITERS,
                            variant="corrected", rounds=10**6 + 3, max_conservation_gap=0.0)
         write_trace_csv(result, table1, tmp_path / "trace.csv")
         write_round_summary_csv(result, tmp_path / "rounds.csv")

@@ -20,6 +20,7 @@ from cemasim import (
     scenario_to_dict,
     validate_scenario,
 )
+from cemasim.best_response import generator_response_corrected
 from cemasim.presets import ring_digraph
 
 
@@ -51,6 +52,31 @@ class TestNetInjection:
             if lo == hi:
                 continue
             assert net_injection(GEN2, hi) > net_injection(GEN2, lo)
+
+
+class TestGeneratorLossModel:
+    @pytest.mark.parametrize("gen", [GEN1, GEN2])
+    def test_array_forms_equal_scalar_calls_bit_for_bit(self, gen):
+        grid = np.linspace(gen.p_min, gen.p_max, 1001)
+        for method in (gen.net, gen.marginal_net, gen.loss_adjusted_marginal_cost):
+            scalar = np.array([method(x) for x in grid.tolist()])
+            assert method(grid).tobytes() == scalar.tobytes()
+
+    def test_loss_adjusted_marginal_cost_is_the_corrected_inverse(self):
+        # the corrected best response to the loss-adjusted marginal cost at an
+        # interior P is P itself
+        rng = np.random.default_rng(5)
+        for gen in (GEN1, GEN2):
+            for P in rng.uniform(gen.p_min + 1.0, gen.p_max - 1.0, size=200).tolist():
+                lam = gen.loss_adjusted_marginal_cost(P)
+                assert abs(generator_response_corrected(gen, lam) - P) <= 1e-9
+
+    def test_values_match_the_formulas(self):
+        P = 81.98
+        assert GEN1.net(P) == P - GEN1.B * P * P
+        assert GEN1.marginal_net(P) == 1.0 - 2.0 * GEN1.B * P
+        assert GEN1.loss_adjusted_marginal_cost(P) == (
+            (2.0 * GEN1.a * P + GEN1.b) / (1.0 - 2.0 * GEN1.B * P))
 
 
 class TestUniformWeights:
@@ -216,6 +242,29 @@ class TestValidateScenario:
         s = dataclasses.replace(table1, max_iters=max_iters)
         assert [v.rule for v in validate_scenario(s)] == ["scenario.max_iters"]
 
+    @pytest.mark.parametrize("name, value", [
+        ("eta", True), ("eta", "0.002"), ("eps_m", True), ("eps_l", np.True_),
+        ("eps_l", None), ("max_iters", True),
+    ])
+    def test_non_numeric_constants_flagged(self, table1, name, value):
+        import dataclasses
+        s = dataclasses.replace(table1, **{name: value})
+        assert [v.rule for v in validate_scenario(s)] == [f"scenario.{name}"]
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "B", "p_min", "p_max"])
+    def test_bool_generator_parameter_flagged(self, table1, field):
+        import dataclasses
+        gen = dataclasses.replace(table1.generators[0], **{field: True})
+        s = dataclasses.replace(table1, generators=(gen, table1.generators[1]))
+        assert [v.rule for v in validate_scenario(s)] == ["gen.finite"]
+
+    @pytest.mark.parametrize("field", ["w", "alpha", "p_min", "p_max"])
+    def test_bool_consumer_parameter_flagged(self, table1, field):
+        import dataclasses
+        con = dataclasses.replace(table1.consumers[1], **{field: True})
+        s = dataclasses.replace(table1, consumers=(table1.consumers[0], con))
+        assert [v.rule for v in validate_scenario(s)] == ["con.finite"]
+
     def test_count_mismatch_is_a_violation_not_an_error(self, table1):
         import dataclasses
         s = dataclasses.replace(table1, consumers=table1.consumers[:1])
@@ -316,6 +365,31 @@ class TestScenarioFiles:
         s = scenario_from_dict(d)
         assert type(s.max_iters) is int and s.max_iters == 300
         assert validate_scenario(s) == []
+
+    @pytest.mark.parametrize("name, value", [
+        ("eta", "0.002"), ("eta", True), ("eps_m", True), ("eps_l", None),
+        ("max_iters", True),
+    ])
+    def test_non_numeric_constants_load_unconverted(self, table1, name, value):
+        d = scenario_to_dict(table1)
+        d[name] = value
+        s = scenario_from_dict(json.loads(json.dumps(d)))
+        assert type(getattr(s, name)) is type(value) and getattr(s, name) == value
+        assert [v.rule for v in validate_scenario(s)] == [f"scenario.{name}"]
+
+    def test_integer_constants_load_as_float(self, table1):
+        d = scenario_to_dict(table1)
+        d["eps_m"] = 1
+        d["eps_l"] = 2
+        s = scenario_from_dict(json.loads(json.dumps(d)))
+        assert (type(s.eps_m), s.eps_m, type(s.eps_l), s.eps_l) == (float, 1.0, float, 2.0)
+        assert validate_scenario(s) == []
+
+    def test_bool_generator_parameter_in_file_flagged(self, table1):
+        d = scenario_to_dict(table1)
+        d["generators"][1]["a"] = True
+        s = scenario_from_dict(json.loads(json.dumps(d)))
+        assert [(v.node, v.rule) for v in validate_scenario(s)] == [(1, "gen.finite")]
 
     def test_unknown_preset_rejected(self, table1):
         d = scenario_to_dict(table1)
