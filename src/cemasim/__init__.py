@@ -14,7 +14,6 @@ from .engine import (
     mismatch,
     power_step,
     run,
-    surplus_step,
 )
 from .oracle import (
     BracketError,
@@ -40,7 +39,6 @@ from .scenario import (
     build_uniform_weights,
     check_feasibility_condition,
     load_scenario,
-    net_injection,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,

@@ -61,6 +61,11 @@ def _load(path: str):
     return scenario, None
 
 
+def _json_text(obj) -> str:
+    """The one JSON layout of every report: indent 2, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _invalid(violations) -> int:
     for v in violations:
         print(f"invalid scenario: node={v.node} rule={v.rule}: {v.message}", file=sys.stderr)
@@ -132,17 +137,21 @@ def cmd_run(args) -> int:
             return EXIT_BAD_INPUT
 
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot write {args.output_dir!r}: {exc}")
     variants = engine.VARIANTS if args.variant == "both" else (args.variant,)
     status = EXIT_OK
     for variant in variants:
         result = engine.run(scenario, variant, trace_stride=args.trace_stride)
-        engine.write_trace_csv(result, scenario, out_dir / f"trace_{variant}.csv")
-        engine.write_round_summary_csv(result, out_dir / f"rounds_{variant}.csv")
         summary = _run_summary(scenario, result)
-        with open(out_dir / f"report_{variant}.json", "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
+        try:
+            engine.write_trace_csv(result, scenario, out_dir / f"trace_{variant}.csv")
+            engine.write_round_summary_csv(result, out_dir / f"rounds_{variant}.csv")
+            (out_dir / f"report_{variant}.json").write_text(_json_text(summary))
+        except OSError as exc:
+            return _fail(f"cannot write {args.output_dir!r}: {exc}")
         print(
             f"[{variant}] terminated={summary['terminated']} rounds={summary['rounds']} "
             f"mismatch={summary['mismatch']:.3e} lambda_spread={summary['lambda_spread']:.3e}"
@@ -165,7 +174,7 @@ def cmd_solve(args) -> int:
     if scenario is None:
         return err
     try:
-        sol = oracle.solve_centralized(scenario, tol=args.tol)
+        sol = oracle.solve_centralized(scenario)
     except oracle.InfeasibleScenarioError as exc:
         print(f"infeasible scenario: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -208,11 +217,14 @@ def cmd_kkt(args) -> int:
             return _fail(f"no candidate given and solve failed: {exc}")
         P, lam = sol.P, sol.lam
     report = oracle.kkt_check(P, lam, scenario, tol=args.tol)
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    text = _json_text(report.to_dict())
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            return _fail(f"cannot write {args.output!r}: {exc}")
     else:
-        print(text)
+        print(text, end="")
     return EXIT_OK if report.certified else EXIT_NOT_CONVERGED
 
 
@@ -339,15 +351,12 @@ def cmd_counterexample(args) -> int:
     if violations and not (lossless and all(v.rule == "gen.B_positive" for v in violations)):
         return _invalid(violations)
     if lossless:
-        payload = {"coincide": True}
-        text = _counterexample_text(payload)
-        _emit_counterexample(args, payload, text)
-        return EXIT_NO_CONTRADICTION
-
-    try:
-        payload, status = _counterexample_payload(scenario)
-    except (oracle.InfeasibleScenarioError, oracle.BracketError) as exc:
-        return _fail(f"centralized solve failed: {exc}")
+        payload, status = {"coincide": True}, EXIT_NO_CONTRADICTION
+    else:
+        try:
+            payload, status = _counterexample_payload(scenario)
+        except (oracle.InfeasibleScenarioError, oracle.BracketError) as exc:
+            return _fail(f"centralized solve failed: {exc}")
 
     if args.scenario is None:
         # the builtin benchmark carries a published two-decimal dispatch;
@@ -360,24 +369,21 @@ def cmd_counterexample(args) -> int:
         }
 
     text = _counterexample_text(payload)
-    _emit_counterexample(args, payload, text)
-    if status == EXIT_NOT_CONVERGED:
-        print("a variant failed to converge; see report", file=sys.stderr)
-    return status
-
-
-def _emit_counterexample(args, payload: dict, text: str) -> None:
     if args.report:
         path = Path(args.report)
-        path.write_text(text)
         sidecar = path.with_suffix(".json")
         if sidecar == path:
             sidecar = path.with_name(path.name + ".sidecar.json")
-        with open(sidecar, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        try:
+            path.write_text(text)
+            sidecar.write_text(_json_text(payload))
+        except OSError as exc:
+            return _fail(f"cannot write {args.report!r}: {exc}")
     else:
         print(text, end="")
+    if status == EXIT_NOT_CONVERGED:
+        print("a variant failed to converge; see report", file=sys.stderr)
+    return status
 
 
 def cmd_gen_scenario(args) -> int:
@@ -414,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="centralized optimum by price bisection")
     p_solve.add_argument("--scenario", required=True)
-    p_solve.add_argument("--tol", type=float, default=1e-9)
     p_solve.set_defaults(func=cmd_solve)
 
     p_kkt = sub.add_parser("kkt", help="first-order certification of a candidate")

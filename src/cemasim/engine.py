@@ -103,23 +103,6 @@ def power_step(scenario: Scenario, variant: str, new_lambdas: np.ndarray) -> np.
     return best_response.responses(scenario.agents, new_lambdas, gen_resp)
 
 
-def surplus_step(
-    scenario: Scenario,
-    Q: np.ndarray,
-    xi: np.ndarray,
-    old_P: np.ndarray,
-    new_P: np.ndarray,
-) -> np.ndarray:
-    """Surplus update: column-stochastic routing plus the local power delta."""
-    xi = np.asarray(xi, dtype=float)
-    if Q.shape != (xi.size, xi.size) or len(old_P) != xi.size or len(new_P) != xi.size:
-        raise ValueError("dimension mismatch in surplus_step")
-    agents = scenario.agents
-    delta = agents.sign * (agents.net(np.asarray(new_P, dtype=float))
-                           - agents.net(np.asarray(old_P, dtype=float)))
-    return Q @ xi + delta
-
-
 def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     """Execute the full iteration until tolerance, divergence or the cap.
 

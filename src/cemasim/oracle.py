@@ -64,16 +64,16 @@ class CentralSolution:
     iterations: int
 
 
-def solve_centralized(scenario: Scenario, tol: float = DEFAULT_SOLVE_TOL) -> CentralSolution:
+def solve_centralized(scenario: Scenario) -> CentralSolution:
     """Solve the relaxed dispatch problem by bisection on the balance price.
 
     Returns the full node-order power vector and the price. The slack-balance
     case (net supply covers peak demand at zero price) returns lam = 0
     without bisection. Bisection terminates only when both |g(lam)| <= tol and
-    the bracket width is <= tol*max(1, lam); failure to bracket raises.
+    the bracket width is <= tol*max(1, lam), with tol = DEFAULT_SOLVE_TOL;
+    failure to bracket raises.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    tol = DEFAULT_SOLVE_TOL
     feasible, slack = check_feasibility_condition(scenario)
     if not feasible:
         raise InfeasibleScenarioError(

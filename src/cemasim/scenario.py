@@ -49,7 +49,8 @@ class GeneratorParams:
         return 2.0 * self.a * P + self.b
 
     def net(self, P: float) -> float:
-        # output after quadratic transmission loss
+        # output after quadratic transmission loss; strictly increasing on
+        # the capacity box when 2*B*p_max < 1
         return P - self.B * P * P
 
     def marginal_net(self, P: float) -> float:
@@ -98,6 +99,10 @@ class Digraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one node")
+        for u, v in self.edges:
+            # int() would load 1.7 and true as 1
+            if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in (u, v)):
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
         edges = tuple((int(u), int(v)) for u, v in self.edges)
         for u, v in edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -203,10 +208,6 @@ class Scenario:
         loss[gen] = [g.B for g in self.generators]
         return AgentView(params=tuple(params), sign=sign, loss=loss)
 
-    def node_params(self, i: int) -> AgentParams:
-        """Parameters of node i."""
-        return self.agents.params[i]
-
 
 @dataclass(frozen=True, order=True)
 class Violation:
@@ -215,17 +216,6 @@ class Violation:
     node: int
     rule: str
     message: str = field(compare=False)
-
-
-def net_injection(p: GeneratorParams, P: float) -> float:
-    """Generator output after quadratic transmission loss, P - B*P^2.
-
-    Strictly increasing on the capacity box whenever 2*B*p_max < 1.
-    Rejects P outside [p_min, p_max].
-    """
-    if not (p.p_min - 1e-9 <= P <= p.p_max + 1e-9):
-        raise ValueError(f"power {P} outside capacity box [{p.p_min}, {p.p_max}]")
-    return p.net(P)
 
 
 def build_uniform_weights(g: Digraph) -> WeightMatrices:
@@ -305,6 +295,7 @@ def validate_scenario(s: Scenario) -> list:
         if not all(_finite(x) for x in (g.a, g.b, g.c, g.B, g.p_min, g.p_max)):
             add(node, "gen.finite", f"generator {j} has non-finite or non-numeric parameters")
             continue
+        before = len(out)
         if g.a <= 0:
             add(node, "gen.a_positive", f"generator {j}: a = {g.a} must be > 0")
         if g.B <= 0:
@@ -315,6 +306,13 @@ def validate_scenario(s: Scenario) -> list:
             add(node, "gen.loss_bound", f"generator {j}: B*p_max = {g.B * g.p_max} >= 1")
         if 2 * g.B * g.p_max >= 1:
             add(node, "gen.net_monotone", f"generator {j}: 2B*p_max = {2 * g.B * g.p_max} >= 1")
+        # lambda_init starts at the price at p_min, the bisection brackets at
+        # the one at p_max; both are defined once the rules above hold
+        if len(out) == before and not all(
+            _finite(g.loss_adjusted_marginal_cost(P)) for P in (g.p_min, g.p_max)
+        ):
+            add(node, "gen.price_finite",
+                f"generator {j}: loss-adjusted marginal cost is not finite at p_min or p_max")
 
     con_nodes = s.consumer_nodes
     for j, c in enumerate(s.consumers):
@@ -411,6 +409,17 @@ def _real(x):
     return float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else x
 
 
+def _real_matrix(rows, name: str) -> np.ndarray:
+    """Nested rows of ints and floats as a float array; raises ValueError on any
+    other entry, bool included (np.array(dtype=float) would load "0.5" and true)."""
+    bad = [t for t in {type(x) for row in rows for x in row}
+           if issubclass(t, bool) or not issubclass(t, numbers.Real)]
+    if bad:
+        raise ValueError(f"{name} has non-numeric entries of type "
+                         f"{', '.join(sorted(t.__name__ for t in bad))}")
+    return np.array(rows, dtype=float)
+
+
 def scenario_from_dict(d: dict) -> Scenario:
     generators = tuple(GeneratorParams(**g) for g in d["generators"])
     consumers = tuple(ConsumerParams(**c) for c in d["consumers"])
@@ -429,7 +438,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     if wd == "uniform":
         weights = build_uniform_weights(graph)
     else:
-        weights = WeightMatrices(W=np.array(wd["W"], dtype=float), Q=np.array(wd["Q"], dtype=float))
+        weights = WeightMatrices(W=_real_matrix(wd["W"], "W"), Q=_real_matrix(wd["Q"], "Q"))
     return Scenario(
         generators=generators,
         consumers=consumers,

@@ -4,8 +4,10 @@ The digests were recorded from the CLI before the node-order agent view and
 the shared best-response loop existed; the strided and capped cases were
 recorded before the trace writers dropped `csv.writer`; the brute-force grid,
 `gen-scenario` and `counterexample` digests were recorded before the loss
-model moved into `GeneratorParams`. A change to any number, its 17-digit
-formatting, the order of a sum or the layout of a report shows up here.
+model moved into `GeneratorParams`; the `kkt` stdout digest was recorded
+before the CLI's JSON writers became one helper. A change to any number,
+its 17-digit formatting, the order of a sum or the layout of a report shows
+up here.
 """
 
 import hashlib
@@ -63,6 +65,8 @@ RUN_DIGESTS = {
 }
 SOLVE_STDOUT_DIGEST = "75d121a22d16f92d18985f7e498af56dc5c8f162ae718e968f8496481cf0a591"
 KKT_REPORT_DIGEST = "9517318e0df3b670afe02580f9ee75ff00ad2152519c480e69a122e1ca78afb7"
+# printed and written reports carry the same bytes
+KKT_STDOUT_DIGEST = "9517318e0df3b670afe02580f9ee75ff00ad2152519c480e69a122e1ca78afb7"
 # SHA-256 of the JSON of (P, objective, grid_step)
 BRUTE_FORCE_DIGESTS = {
     "table1-0.5": "6f37e7cc1ed50c8fd3f26b4f9b4de19bd821a2f1cb6f0dccacd20d5bbdfd3078",
@@ -127,6 +131,9 @@ def test_solve_and_kkt_outputs_byte_identical(scenario_files, tmp_path, capsys):
     kkt = tmp_path / "kkt.json"
     assert main(["kkt", "--scenario", str(path), "--output", str(kkt)]) == 0
     assert _sha(kkt.read_bytes()) == KKT_REPORT_DIGEST
+    capsys.readouterr()
+    assert main(["kkt", "--scenario", str(path)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == KKT_STDOUT_DIGEST
 
 
 # one case per generator count: 2, 1 and 3

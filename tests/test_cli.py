@@ -103,6 +103,29 @@ class TestRunCommand:
         assert f"invalid scenario: node=-1 rule=scenario.{name}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("weights", "W", "0.3333333333333333"),
+        ("weights", "Q", True),
+        ("graph", "edges", 1.7),
+    ])
+    def test_non_numeric_file_entries_exit_one_without_traceback(self, tmp_path, capsys,
+                                                                section, key, value):
+        path = tmp_path / "bad.json"
+        d = scenario_to_dict(table1_scenario())
+        d[section][key][0][1] = value
+        path.write_text(json.dumps(d))
+        assert main(["run", "--scenario", str(path), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read scenario {str(path)!r}: ")
+        assert "Traceback" not in err
+
+    def test_unwritable_output_dir_exits_one(self, table1_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        assert main(["run", "--scenario", table1_file, "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {str(out)!r}: ")
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--eta", "5", "eta = 5.0 must satisfy 0 < eta < 1"),
         ("--eps-m", "0", "eps_m = 0.0 must be > 0"),
@@ -158,6 +181,14 @@ class TestSolveCommand:
         path.write_text("{not json")
         assert main(["solve", "--scenario", str(path)]) == 1
 
+    def test_tol_option_removed(self, table1_file, capsys):
+        # solve certifies at a fixed 1e-6, so a bisection tolerance set from
+        # the command line could only break it
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--scenario", table1_file, "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
 
 class TestKktCommand:
     def test_default_candidate_certifies(self, table1_file, tmp_path):
@@ -192,6 +223,12 @@ class TestKktCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot read candidate {str(cand)!r}: ")
         assert "Traceback" not in err
+
+
+    def test_unwritable_output_exits_one(self, table1_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "k.json"
+        assert main(["kkt", "--scenario", table1_file, "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {str(out)!r}: ")
 
 
 class TestCounterexampleCommand:
@@ -249,6 +286,11 @@ class TestCounterexampleCommand:
     def test_missing_scenario_file_exits_one(self, tmp_path):
         assert main(["counterexample", "--scenario", str(tmp_path / "nope.json")]) == 1
 
+    def test_unwritable_report_exits_one(self, tmp_path, capsys):
+        report = tmp_path / "missing" / "cx.txt"
+        assert main(["counterexample", "--report", str(report)]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot write {str(report)!r}: ")
+
     def test_generated_scenario_runs_end_to_end(self, tmp_path):
         scenario_path = tmp_path / "gen.json"
         assert main(["gen-scenario", "--seed", "11", "--output", str(scenario_path)]) == 0
@@ -261,6 +303,28 @@ class TestCounterexampleCommand:
         payload = json.loads((tmp_path / "cx.json").read_text())
         for variant in ("original", "corrected"):
             assert payload["variants"][variant]["terminated"] == "by-tolerance"
+
+
+class TestOverflowingPrice:
+    @pytest.mark.parametrize("command", [
+        ["run", "--output-dir", "out"], ["solve"], ["kkt"], ["counterexample"],
+    ])
+    def test_commands_exit_one_without_traceback(self, tmp_path, capsys, monkeypatch,
+                                                 command):
+        # a = 1e308 validated before and overflowed lambda_init to inf
+        d = scenario_to_dict(table1_scenario())
+        d["generators"][0]["a"] = 1e308
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(d))
+        monkeypatch.chdir(tmp_path)
+        assert main([command[0], "--scenario", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "invalid scenario: node=0 rule=gen.price_finite: generator 0: "
+            "loss-adjusted marginal cost is not finite at p_min or p_max"
+        ]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenScenarioCommand:

@@ -19,7 +19,6 @@ from cemasim import (
     power_step,
     run,
     solve_centralized,
-    surplus_step,
 )
 from cemasim.engine import (
     TERMINATED_BY_MAX_ITERS,
@@ -87,29 +86,23 @@ class TestPowerStep:
 
 
 class TestSurplusStep:
+    """Surplus routing, xi <- Q @ xi + sign * (net(P_new) - net(P_old)), as run
+    executes it."""
+
     def test_pure_mixing_conserves_sum(self, table1):
+        # with no power change the update is the column-stochastic Q alone
         rng = np.random.default_rng(5)
         Q = table1.weights.Q
         for _ in range(50):
             xi = rng.normal(size=4) * 10
-            P = rng.uniform(60, 100, size=4)
-            out = surplus_step(table1, Q, xi, P, P)
-            assert out.sum() == pytest.approx(xi.sum(), abs=1e-12)
+            assert (Q @ xi).sum() == pytest.approx(xi.sum(), abs=1e-12)
 
     def test_first_round_sum_equals_mismatch(self, table1):
         # xi(0) = 0 and P(0) = 0, so the first surplus vector must sum to the
         # round-1 power mismatch
-        lam1 = lambda_step(
-            np.array([5.999179318834632, 4.672422549517522, 7.49294, 0.0]),
-            np.zeros(4), table1.weights.W, table1.eta,
-        )
-        P1 = power_step(table1, "corrected", lam1)
-        xi1 = surplus_step(table1, table1.weights.Q, np.zeros(4), np.zeros(4), P1)
-        assert xi1.sum() == pytest.approx(mismatch(P1, table1), abs=1e-12)
-
-    def test_dimension_mismatch(self, table1):
-        with pytest.raises(ValueError):
-            surplus_step(table1, table1.weights.Q, np.zeros(3), np.zeros(4), np.zeros(4))
+        rec = run(table1, "corrected").trace[1]
+        assert rec.k == 1
+        assert rec.xi.sum() == pytest.approx(mismatch(rec.P, table1), abs=1e-12)
 
 
 class TestRoundOneRegression:
@@ -143,10 +136,12 @@ class TestRoundOneRegression:
     def test_step_composition_reproduces_round_one(self, table1):
         # chaining the three step operations by hand must yield the same
         # round-1 row the engine records
-        lam0 = np.array([lambda_init(table1.node_params(i)) for i in range(4)])
+        agents = table1.agents
+        lam0 = np.array([lambda_init(agents.params[i]) for i in range(4)])
         lam1 = lambda_step(lam0, np.zeros(4), table1.weights.W, table1.eta)
         P1 = power_step(table1, "corrected", lam1)
-        xi1 = surplus_step(table1, table1.weights.Q, np.zeros(4), np.zeros(4), P1)
+        # routing from the zero state: Q @ 0 + sign * (net(P1) - net(0))
+        xi1 = agents.sign * agents.net(P1)
         rec = run(table1, "corrected").trace[1]
         np.testing.assert_array_equal(lam1, rec.lam)
         np.testing.assert_array_equal(P1, rec.P)

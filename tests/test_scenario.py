@@ -14,7 +14,6 @@ from cemasim import (
     build_uniform_weights,
     check_feasibility_condition,
     load_scenario,
-    net_injection,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -29,21 +28,17 @@ GEN2 = GeneratorParams(a=0.0056, b=4.32, c=25.0, B=0.00031, p_min=25.0, p_max=47
 
 
 class TestNetInjection:
+    """GeneratorParams.net, the output after quadratic transmission loss."""
+
     def test_table1_values(self):
         # arithmetic cross-checked by hand: P - B*P^2
-        assert net_injection(GEN1, 81.98) == pytest.approx(80.568648716, abs=1e-12)
-        assert net_injection(GEN2, 124.80) == pytest.approx(119.9717376, abs=1e-12)
+        assert GEN1.net(81.98) == pytest.approx(80.568648716, abs=1e-12)
+        assert GEN2.net(124.80) == pytest.approx(119.9717376, abs=1e-12)
 
     def test_zero_loss_is_identity(self):
         p = GeneratorParams(a=1.0, b=0.0, c=0.0, B=0.0, p_min=1.0, p_max=50.0)
         for P in (1.0, 7.25, 50.0):
-            assert net_injection(p, P) == P
-
-    def test_out_of_box_rejected(self):
-        with pytest.raises(ValueError):
-            net_injection(GEN1, 10.0)
-        with pytest.raises(ValueError):
-            net_injection(GEN1, 400.0)
+            assert p.net(P) == P
 
     def test_strictly_monotone_on_box(self):
         rng = np.random.default_rng(7)
@@ -51,7 +46,7 @@ class TestNetInjection:
             lo, hi = sorted(rng.uniform(GEN2.p_min, GEN2.p_max, size=2))
             if lo == hi:
                 continue
-            assert net_injection(GEN2, hi) > net_injection(GEN2, lo)
+            assert GEN2.net(hi) > GEN2.net(lo)
 
 
 class TestGeneratorLossModel:
@@ -265,6 +260,15 @@ class TestValidateScenario:
         s = dataclasses.replace(table1, consumers=(table1.consumers[0], con))
         assert [v.rule for v in validate_scenario(s)] == ["con.finite"]
 
+    # a = 1e308 overflows the starting price at p_min; a = 1e306 only the
+    # bisection bracket at p_max
+    @pytest.mark.parametrize("a", [1e308, 1e306])
+    def test_overflowing_price_flagged(self, table1, a):
+        import dataclasses
+        gen = dataclasses.replace(table1.generators[0], a=a)
+        s = dataclasses.replace(table1, generators=(gen, table1.generators[1]))
+        assert [(v.node, v.rule) for v in validate_scenario(s)] == [(0, "gen.price_finite")]
+
     def test_count_mismatch_is_a_violation_not_an_error(self, table1):
         import dataclasses
         s = dataclasses.replace(table1, consumers=table1.consumers[:1])
@@ -299,10 +303,10 @@ class TestNodeMapping:
         assert validate_scenario(s) == []
         assert s.generator_nodes == (0, 2)
         assert s.consumer_nodes == (1, 3)
-        assert s.node_params(0) is s.generators[0]
-        assert s.node_params(2) is s.generators[1]
-        assert s.node_params(1) is s.consumers[0]
-        assert s.node_params(3) is s.consumers[1]
+        assert s.agents.params[0] is s.generators[0]
+        assert s.agents.params[2] is s.generators[1]
+        assert s.agents.params[1] is s.consumers[0]
+        assert s.agents.params[3] is s.consumers[1]
 
     def test_agent_view_interleaved_kinds(self):
         cons = (ConsumerParams(w=18.43, alpha=0.0545, p_min=50.0, p_max=100.34),
@@ -320,7 +324,7 @@ class TestNodeMapping:
         np.testing.assert_array_equal(agents.loss, [GEN1.B, 0.0, GEN2.B, 0.0])
         np.testing.assert_array_equal(
             agents.net(np.array([81.98, 90.0, 124.80, 110.0])),
-            [net_injection(GEN1, 81.98), 90.0, net_injection(GEN2, 124.80), 110.0],
+            [GEN1.net(81.98), 90.0, GEN2.net(124.80), 110.0],
         )
 
 
@@ -391,6 +395,31 @@ class TestScenarioFiles:
         s = scenario_from_dict(json.loads(json.dumps(d)))
         assert [(v.node, v.rule) for v in validate_scenario(s)] == [(1, "gen.finite")]
 
+    @pytest.mark.parametrize("matrix", ["W", "Q"])
+    @pytest.mark.parametrize("entry", ["0.3333333333333333", True, None, [0.5]])
+    def test_non_numeric_weight_entries_rejected(self, table1, matrix, entry):
+        d = scenario_to_dict(table1)
+        d["weights"][matrix][0][0] = entry
+        with pytest.raises(ValueError, match=f"{matrix} has non-numeric entries"):
+            scenario_from_dict(json.loads(json.dumps(d)))
+
+    def test_integer_weight_entries_load_as_float(self, table1):
+        # ring4 has no edge 2 -> 0, so W[0][2] and Q[0][2] are zero
+        d = scenario_to_dict(table1)
+        d["weights"]["W"][0][2] = 0
+        d["weights"]["Q"][0][2] = 0
+        s = scenario_from_dict(json.loads(json.dumps(d)))
+        assert s.weights.W.dtype == s.weights.Q.dtype == np.float64
+        np.testing.assert_array_equal(s.weights.W, table1.weights.W)
+        assert validate_scenario(s) == []
+
+    @pytest.mark.parametrize("edge", [[0, 1.7], [0, True], [1.0, 0], ["0", 1]])
+    def test_non_integer_edge_endpoints_rejected(self, table1, edge):
+        d = scenario_to_dict(table1)
+        d["graph"]["edges"].append(edge)
+        with pytest.raises(ValueError, match="non-integer endpoint"):
+            scenario_from_dict(json.loads(json.dumps(d)))
+
     def test_unknown_preset_rejected(self, table1):
         d = scenario_to_dict(table1)
         d["graph"] = {"preset": "mesh9"}
@@ -402,6 +431,11 @@ class TestDigraphConstruction:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             Digraph(n=2, edges=[(0, 0), (1, 1), (2, 0)], node_kind=["generator", "consumer"])
+
+    def test_numpy_integer_endpoints_accepted(self):
+        g = Digraph(n=2, edges=[(np.int64(0), np.int64(1)), (0, 0), (1, 1), (1, 0)],
+                    node_kind=["generator", "consumer"])
+        assert g.edges[0] == (0, 1) and type(g.edges[0][0]) is int
 
     def test_negative_edge_index_rejected(self):
         # negative indices would silently wrap when building weight matrices
