@@ -76,6 +76,29 @@ def responses(agents: AgentView, lam, generator_response) -> np.ndarray:
     ])
 
 
+def _variant_table() -> dict:
+    # rebuilt per lookup from the module's current names, so a response
+    # function rebound on the module (bench/spans.py counts calls that way)
+    # is the one a run calls
+    return {
+        "original": (generator_response_original, GeneratorParams.marginal_cost),
+        "corrected": (generator_response_corrected, GeneratorParams.loss_adjusted_marginal_cost),
+    }
+
+
+VARIANTS = tuple(_variant_table())
+
+
+def variant_pair(variant: str) -> tuple:
+    """(generator best response, implied price) of a variant: the price at
+    which an interior P is the variant's best response, raw marginal cost for
+    `original` and loss-adjusted marginal cost for `corrected`."""
+    try:
+        return _variant_table()[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
+
+
 def lambda_init(params: AgentParams) -> float:
     """Starting price of a node: marginal cost at the floor for generators
     (loss-adjusted), marginal utility at the cap for consumers.

@@ -72,17 +72,9 @@ def _invalid(violations) -> int:
     return EXIT_BAD_INPUT
 
 
-def _interior_gen_prices(scenario: Scenario, P_full: np.ndarray, variant: str):
-    """Loss-adjusted (or raw) implied prices over interior generators."""
-    P_gen = P_full[list(scenario.generator_nodes)]
-    prices = oracle.implied_prices(P_gen, scenario, variant)
-    interior = np.array(
-        [
-            g.p_min + 1e-9 < float(p) < g.p_max - 1e-9
-            for g, p in zip(scenario.generators, P_gen)
-        ]
-    )
-    return prices, interior
+def _implied_prices(scenario: Scenario, P_gen: np.ndarray) -> dict:
+    """{variant: its implied generator prices at generator powers P_gen}."""
+    return {v: oracle.implied_prices(P_gen, scenario, v) for v in engine.VARIANTS}
 
 
 def _price_spread(prices: np.ndarray, interior: np.ndarray) -> float:
@@ -95,10 +87,12 @@ def _price_spread(prices: np.ndarray, interior: np.ndarray) -> float:
 def _run_summary(scenario: Scenario, result: engine.RunResult) -> dict:
     P = result.final_P
     lam = result.final_lambda
-    orig_prices, interior = _interior_gen_prices(scenario, P, "original")
-    corr_prices, _ = _interior_gen_prices(scenario, P, "corrected")
-    corr_spread = _price_spread(corr_prices, interior)
-    return {
+    P_gen = P[list(scenario.generator_nodes)]
+    interior = np.array(
+        [g.p_min + 1e-9 < float(p) < g.p_max - 1e-9 for g, p in zip(scenario.generators, P_gen)],
+        dtype=bool,
+    )
+    summary = {
         "variant": result.variant,
         "terminated": result.terminated,
         "rounds": result.rounds,
@@ -108,13 +102,15 @@ def _run_summary(scenario: Scenario, result: engine.RunResult) -> dict:
         "mismatch": engine.mismatch(P, scenario),
         "lambda_spread": float(lam.max() - lam.min()),
         "max_conservation_gap": result.max_conservation_gap,
-        "implied_prices_original": orig_prices.tolist(),
-        "implied_prices_corrected": corr_prices.tolist(),
         "interior_generators": interior.tolist(),
-        "implied_price_spread_original": _price_spread(orig_prices, interior),
-        "implied_price_spread_corrected": corr_spread,
-        "implied_prices_disagree": corr_spread > PRICE_DISAGREEMENT_TOL,
     }
+    for variant, prices in _implied_prices(scenario, P_gen).items():
+        summary[f"implied_prices_{variant}"] = prices.tolist()
+        summary[f"implied_price_spread_{variant}"] = _price_spread(prices, interior)
+    summary["implied_prices_disagree"] = (
+        summary["implied_price_spread_corrected"] > PRICE_DISAGREEMENT_TOL
+    )
+    return summary
 
 
 def cmd_run(args) -> int:
@@ -232,7 +228,8 @@ def _counterexample_payload(scenario: Scenario) -> tuple:
     """Runs oracle + both variants; returns (payload dict, exit code)."""
     sol = oracle.solve_centralized(scenario)
     gen_nodes = list(scenario.generator_nodes)
-    P_star_gen = sol.P[gen_nodes]
+    at_opt = _implied_prices(scenario, sol.P[gen_nodes])
+    orig_at_opt = at_opt["original"]
 
     payload = {
         "oracle": {
@@ -241,44 +238,22 @@ def _counterexample_payload(scenario: Scenario) -> tuple:
             "objective": sol.objective,
             "kkt_max_residual": oracle.kkt_check(sol.P, sol.lam, scenario).max_residual,
         },
-        "implied_prices_at_oracle_optimum": {
-            "original": oracle.implied_prices(P_star_gen, scenario, "original").tolist(),
-            "corrected": oracle.implied_prices(P_star_gen, scenario, "corrected").tolist(),
-        },
+        "implied_prices_at_oracle_optimum": {v: p.tolist() for v, p in at_opt.items()},
+        "original_price_spread_at_optimum": float(orig_at_opt.max() - orig_at_opt.min()),
     }
-    orig_at_opt = np.array(payload["implied_prices_at_oracle_optimum"]["original"])
-    payload["original_price_spread_at_optimum"] = float(orig_at_opt.max() - orig_at_opt.min())
 
     variants = {}
     for variant in engine.VARIANTS:
         result = engine.run(scenario, variant, trace_stride=50)
-        P = result.final_P
-        lam_c = float(result.final_lambda.mean())
-        entry = {
-            "terminated": result.terminated,
-            "rounds": result.rounds,
-            "lambda_consensus": lam_c,
-            "lambda_spread": float(result.final_lambda.max() - result.final_lambda.min()),
-            "final_P": P.tolist(),
-            "mismatch": engine.mismatch(P, scenario),
-        }
+        summary = _run_summary(scenario, result)
+        keys = ["terminated", "rounds", "lambda_spread", "final_P", "mismatch"]
+        entry = {"lambda_consensus": float(result.final_lambda.mean())}
         if result.terminated == engine.TERMINATED_BY_TOLERANCE:
-            P_gen = P[gen_nodes]
-            report = oracle.kkt_check(P, lam_c, scenario)
-            gen_stationarity = np.abs(report.stationarity[gen_nodes]).tolist()
-            entry.update(
-                {
-                    "implied_prices_original": oracle.implied_prices(
-                        P_gen, scenario, "original"
-                    ).tolist(),
-                    "implied_prices_corrected": oracle.implied_prices(
-                        P_gen, scenario, "corrected"
-                    ).tolist(),
-                    "kkt_max_residual": report.max_residual,
-                    "kkt_generator_stationarity": gen_stationarity,
-                }
-            )
-        variants[variant] = entry
+            keys += [f"implied_prices_{v}" for v in engine.VARIANTS]
+            report = oracle.kkt_check(result.final_P, entry["lambda_consensus"], scenario)
+            entry["kkt_max_residual"] = report.max_residual
+            entry["kkt_generator_stationarity"] = np.abs(report.stationarity[gen_nodes]).tolist()
+        variants[variant] = entry | {k: summary[k] for k in keys}
     payload["variants"] = variants
 
     if any(v["terminated"] != engine.TERMINATED_BY_TOLERANCE for v in variants.values()):
@@ -361,12 +336,10 @@ def cmd_counterexample(args) -> int:
     if args.scenario is None:
         # the builtin benchmark carries a published two-decimal dispatch;
         # evaluate the original update's implied prices right at it
-        ref = np.array(TABLE1_REFERENCE_DISPATCH)
-        payload["reference_dispatch"] = {
-            "P": list(TABLE1_REFERENCE_DISPATCH),
-            "implied_prices_original": oracle.implied_prices(ref, scenario, "original").tolist(),
-            "implied_prices_corrected": oracle.implied_prices(ref, scenario, "corrected").tolist(),
-        }
+        ref = {"P": list(TABLE1_REFERENCE_DISPATCH)}
+        for variant, prices in _implied_prices(scenario, np.array(ref["P"])).items():
+            ref[f"implied_prices_{variant}"] = prices.tolist()
+        payload["reference_dispatch"] = ref
 
     text = _counterexample_text(payload)
     if args.report:
@@ -409,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the consensus iteration")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
-    p_run.add_argument("--variant", choices=["original", "corrected", "both"], default="corrected")
+    p_run.add_argument("--variant", choices=[*engine.VARIANTS, "both"], default="corrected")
     p_run.add_argument("--output-dir", default=".", help="directory for traces and reports")
     p_run.add_argument("--trace-stride", type=int, default=1)
     p_run.add_argument("--eta", type=float, default=None, help="override the scenario gain")

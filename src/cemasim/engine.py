@@ -26,9 +26,7 @@ TERMINATED_BY_TOLERANCE = "by-tolerance"
 TERMINATED_BY_MAX_ITERS = "by-max-iters"
 TERMINATED_DIVERGED = "diverged"
 
-VARIANT_ORIGINAL = "original"
-VARIANT_CORRECTED = "corrected"
-VARIANTS = (VARIANT_ORIGINAL, VARIANT_CORRECTED)
+VARIANTS = best_response.VARIANTS
 
 SURPLUS_DIVERGENCE_LIMIT = 1e9
 
@@ -91,15 +89,9 @@ def lambda_step(lam: np.ndarray, xi: np.ndarray, W: np.ndarray, eta: float) -> n
 
 def power_step(scenario: Scenario, variant: str, new_lambdas: np.ndarray) -> np.ndarray:
     """Per-agent best responses to the freshly mixed prices."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    gen_resp, _ = best_response.variant_pair(variant)
     if len(new_lambdas) != scenario.n_nodes:
         raise ValueError("dimension mismatch in power_step")
-    gen_resp = (
-        best_response.generator_response_original
-        if variant == VARIANT_ORIGINAL
-        else best_response.generator_response_corrected
-    )
     return best_response.responses(scenario.agents, new_lambdas, gen_resp)
 
 
@@ -113,8 +105,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     violations = validate_scenario(scenario)
     if violations:
         raise InvalidScenarioError(violations)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    best_response.variant_pair(variant)
     if trace_stride < 1:
         raise ValueError("trace_stride must be >= 1")
 
@@ -141,27 +132,32 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
             lambda_spread=float(lam_v.max() - lam_v.min()),
         )
 
-    trace = [record(0, lam, P, xi, 0.0)]
+    mism = 0.0
+    trace = [record(0, lam, P, xi, mism)]
     terminated = TERMINATED_BY_MAX_ITERS
     rounds = 0
     max_gap = 0.0
 
     for k in range(1, scenario.max_iters + 1):
         lam_new = lambda_step(lam, xi, W, scenario.eta)
+        rounds = k
+        if not np.all(np.isfinite(lam_new)):
+            # the best responses reject a non-finite price: the round stops
+            # here, its record holds the new prices and the state they mixed
+            trace.append(record(k, lam_new, P, xi, mism))
+            terminated = TERMINATED_DIVERGED
+            break
         P_new = power_step(scenario, variant, lam_new)
         net_new = agents.net(P_new)
         xi_new = Q @ xi + sign * (net_new - net)
 
-        rounds = k
         mism = float(np.sum(sign * net_new))
         gap = abs(float(xi_new.sum()) - mism)
         if gap > max_gap:
             max_gap = gap
 
         max_abs_xi = np.abs(xi_new).max()
-        if not (np.all(np.isfinite(lam_new)) and np.all(np.isfinite(xi_new))) or (
-            max_abs_xi > SURPLUS_DIVERGENCE_LIMIT
-        ):
+        if not np.all(np.isfinite(xi_new)) or max_abs_xi > SURPLUS_DIVERGENCE_LIMIT:
             trace.append(record(k, lam_new, P_new, xi_new, mism))
             terminated = TERMINATED_DIVERGED
             break

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .best_response import consumer_response, generator_response_corrected, responses
+from .best_response import (
+    consumer_response,
+    generator_response_corrected,
+    responses,
+    variant_pair,
+)
 from .scenario import GeneratorParams, Scenario, check_feasibility_condition
 
 DEFAULT_SOLVE_TOL = 1e-9
@@ -266,10 +271,8 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario, tol: float = 1e-6) 
 
 
 def implied_prices(P_gen, scenario: Scenario, variant: str) -> np.ndarray:
-    """Per-generator price each variant's stationarity implies at powers P_gen.
-
-    original:  2a*P + b          (raw marginal cost)
-    corrected: (2a*P + b)/(1 - 2B*P)  (loss-adjusted marginal cost)
+    """Per-generator price each variant's stationarity implies at powers P_gen,
+    the second entry of `variant_pair`.
 
     At a true optimum the corrected values of interior generators coincide;
     the original values generally cannot, which is the contradiction this
@@ -278,12 +281,7 @@ def implied_prices(P_gen, scenario: Scenario, variant: str) -> np.ndarray:
     P_gen = np.asarray(P_gen, dtype=float)
     if P_gen.size != len(scenario.generators):
         raise ValueError("expected one power per generator")
-    if variant == "original":
-        price = GeneratorParams.marginal_cost
-    elif variant == "corrected":
-        price = GeneratorParams.loss_adjusted_marginal_cost
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    _, price = variant_pair(variant)
     return np.array([price(g, x) for g, x in zip(scenario.generators, P_gen.tolist())])
 
 

@@ -110,9 +110,10 @@ class Digraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "node_kind", tuple(NodeKind(k) for k in self.node_kind))
 
-    def has_all_self_loops(self) -> bool:
-        es = set(self.edges)
-        return all((i, i) in es for i in range(self.n))
+    def missing_self_loops(self) -> list:
+        """Nodes without a self-loop, in node order."""
+        loops = {u for u, v in self.edges if u == v}
+        return [i for i in range(self.n) if i not in loops]
 
     def is_strongly_connected(self) -> bool:
         if self.n == 0:
@@ -136,9 +137,27 @@ class Digraph:
         return True
 
 
+def _real_matrix(rows, name: str) -> np.ndarray:
+    """Nested rows of ints and floats, or an int or float array, as a new float
+    array; raises ValueError on any other entry or dtype, bool included
+    (np.array(dtype=float) would load "0.5" and True)."""
+    if isinstance(rows, np.ndarray):
+        bad = set() if rows.dtype.kind in "iuf" else {rows.dtype.name}
+    else:
+        bad = {t.__name__ for t in {type(x) for row in rows for x in row}
+               if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+    if bad:
+        raise ValueError(f"{name} has non-numeric entries of type {', '.join(sorted(bad))}")
+    return np.array(rows, dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class WeightMatrices:
-    """W mixes prices (row-stochastic), Q routes surplus (column-stochastic)."""
+    """W mixes prices (row-stochastic), Q routes surplus (column-stochastic).
+
+    Entries must be ints or floats: nested rows of them, or an int or float
+    array. Any other entry or dtype, bool included, raises ValueError.
+    """
 
     W: np.ndarray
     Q: np.ndarray
@@ -146,7 +165,7 @@ class WeightMatrices:
     def __post_init__(self):
         # copies marked read-only: scenarios are shareable across threads
         for name in ("W", "Q"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = _real_matrix(getattr(self, name), name)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -224,7 +243,7 @@ def build_uniform_weights(g: Digraph) -> WeightMatrices:
     W[i][j] = 1/indeg(i) for every in-edge j->i (self-loop included), so rows
     sum to 1; Q[i][j] = 1/outdeg(j) for every edge j->i, so columns sum to 1.
     """
-    if not g.has_all_self_loops():
+    if g.missing_self_loops():
         raise ValueError("graph must have a self-loop at every node")
     if not g.is_strongly_connected():
         raise ValueError("graph must be strongly connected")
@@ -282,10 +301,8 @@ def validate_scenario(s: Scenario) -> list:
             f"kinds declare {n_gen_nodes} generator / {n_con_nodes} consumer nodes, "
             f"params give {len(s.generators)} / {len(s.consumers)}")
 
-    if not s.graph.has_all_self_loops():
-        missing = [i for i in range(s.graph.n) if (i, i) not in set(s.graph.edges)]
-        for i in missing:
-            add(i, "graph.self_loop", f"node {i} has no self-loop")
+    for i in s.graph.missing_self_loops():
+        add(i, "graph.self_loop", f"node {i} has no self-loop")
     if not s.graph.is_strongly_connected():
         add(-1, "graph.strongly_connected", "graph is not strongly connected")
 
@@ -409,17 +426,6 @@ def _real(x):
     return float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else x
 
 
-def _real_matrix(rows, name: str) -> np.ndarray:
-    """Nested rows of ints and floats as a float array; raises ValueError on any
-    other entry, bool included (np.array(dtype=float) would load "0.5" and true)."""
-    bad = [t for t in {type(x) for row in rows for x in row}
-           if issubclass(t, bool) or not issubclass(t, numbers.Real)]
-    if bad:
-        raise ValueError(f"{name} has non-numeric entries of type "
-                         f"{', '.join(sorted(t.__name__ for t in bad))}")
-    return np.array(rows, dtype=float)
-
-
 def scenario_from_dict(d: dict) -> Scenario:
     generators = tuple(GeneratorParams(**g) for g in d["generators"])
     consumers = tuple(ConsumerParams(**c) for c in d["consumers"])
@@ -438,7 +444,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     if wd == "uniform":
         weights = build_uniform_weights(graph)
     else:
-        weights = WeightMatrices(W=_real_matrix(wd["W"], "W"), Q=_real_matrix(wd["Q"], "Q"))
+        weights = WeightMatrices(W=wd["W"], Q=wd["Q"])
     return Scenario(
         generators=generators,
         consumers=consumers,

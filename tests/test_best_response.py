@@ -9,9 +9,12 @@ from cemasim import (
     consumer_response,
     generator_response_corrected,
     generator_response_original,
+    implied_prices,
     lambda_init,
+    power_step,
+    run,
 )
-from cemasim.best_response import responses
+from cemasim.best_response import VARIANTS, responses, variant_pair
 from conftest import (
     consumer_compare,
     generator_corrected_compare,
@@ -231,6 +234,28 @@ class TestFixedPointIdentities:
                 continue
             checked += 1
             assert (2.0 * p.a * P + p.b) / (1.0 - 2.0 * p.B * P) == pytest.approx(lam, abs=1e-10)
+
+
+class TestVariantTable:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_response_inverts_implied_price(self, table1, variant):
+        response, price = variant_pair(variant)
+        rng = np.random.default_rng(41)
+        for g in table1.generators:
+            for P in rng.uniform(g.p_min, g.p_max, size=200).tolist():
+                assert abs(response(g, price(g, P)) - P) <= 1e-9
+
+    def test_unknown_variant_message_is_shared(self, table1):
+        calls = (
+            lambda: variant_pair("bogus"),
+            lambda: power_step(table1, "bogus", np.zeros(4)),
+            lambda: run(table1, "bogus"),
+            lambda: implied_prices(np.zeros(2), table1, "bogus"),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "unknown variant 'bogus'"
 
 
 class TestResponsesLoop:

@@ -6,6 +6,7 @@ import pytest
 
 from cemasim import (
     ConsumerParams,
+    Digraph,
     GeneratorParams,
     Scenario,
     build_uniform_weights,
@@ -54,6 +55,25 @@ class TestRunCommand:
         assert code == 0
         for variant in ("original", "corrected"):
             assert (out / f"trace_{variant}.csv").exists()
+
+    def test_scenario_without_generators_reports(self, tmp_path):
+        # valid with no generator: the report's generator lists are empty
+        graph = Digraph(n=1, edges=[(0, 0)], node_kind=["consumer"])
+        s = Scenario(generators=(),
+                     consumers=(ConsumerParams(w=10.0, alpha=0.05, p_min=10.0, p_max=90.0),),
+                     graph=graph, weights=build_uniform_weights(graph),
+                     eta=0.002, eps_m=1e-8, eps_l=1e-8, max_iters=5)
+        assert validate_scenario(s) == []
+        save_scenario(s, tmp_path / "consumer.json")
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(tmp_path / "consumer.json"),
+                     "--output-dir", str(out)])
+        assert code == 2
+        report = json.loads((out / "report_corrected.json").read_text())
+        assert report["terminated"] == "by-max-iters"
+        assert report["interior_generators"] == report["implied_prices_original"] == []
+        assert report["implied_price_spread_corrected"] == 0.0
+        assert report["implied_prices_disagree"] is False
 
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.json"),

@@ -12,6 +12,7 @@ from cemasim import (
     Scenario,
     WeightMatrices,
     build_uniform_weights,
+    engine,
     implied_prices,
     lambda_init,
     lambda_step,
@@ -190,6 +191,30 @@ class TestRun:
         s = _scenario([gen], [con], max_iters=50)
         result = run(s, "original", trace_stride=1)
         assert result.terminated == TERMINATED_DIVERGED
+
+    def test_non_finite_price_ends_run_diverged(self, table1, monkeypatch):
+        # valid scenarios keep their prices finite, so the mixed prices of
+        # round 3 are made infinite by hand
+        mix = engine.lambda_step
+        rounds = []
+
+        def lambda_step(*args):
+            lam = mix(*args)
+            rounds.append(None)
+            if len(rounds) == 3:
+                lam[1] = np.inf
+            return lam
+
+        monkeypatch.setattr(engine, "lambda_step", lambda_step)
+        result = run(table1, "corrected")
+        assert result.terminated == TERMINATED_DIVERGED
+        assert result.rounds == 3
+        last, before = result.trace[-1], result.trace[-2]
+        assert (last.k, before.k) == (3, 2)
+        assert np.isinf(last.lam[1]) and np.all(np.isfinite(np.delete(last.lam, 1)))
+        # no best response ran: the record keeps the state round 3 mixed from
+        assert last.P is before.P and last.xi is before.xi
+        assert last.mismatch == before.mismatch
 
     def test_invalid_scenario_rejected(self, table1):
         s = dataclasses.replace(table1, eta=2.0)

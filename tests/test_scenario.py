@@ -181,6 +181,15 @@ class TestValidateScenario:
         rules = {v.rule for v in validate_scenario(s)}
         assert "graph.strongly_connected" in rules
 
+    def test_missing_self_loops_flagged_per_node(self, table1):
+        import dataclasses
+        edges = [e for e in table1.graph.edges if e not in ((1, 1), (3, 3))]
+        graph = Digraph(n=4, edges=edges, node_kind=table1.graph.node_kind)
+        assert graph.missing_self_loops() == [1, 3]
+        violations = validate_scenario(dataclasses.replace(table1, graph=graph))
+        assert [(v.node, v.rule) for v in violations if v.rule == "graph.self_loop"] == [
+            (1, "graph.self_loop"), (3, "graph.self_loop")]
+
     def test_zero_loss_flagged(self):
         gen = GeneratorParams(a=0.002, b=5.0, c=1.0, B=0.0, p_min=10.0, p_max=100.0)
         con = ConsumerParams(w=10.0, alpha=0.05, p_min=10.0, p_max=90.0)
@@ -286,6 +295,34 @@ class TestValidateScenario:
         assert v1 == v2
         assert v1 == sorted(v1)
         assert len(v1) >= 4
+
+
+class TestWeightEntryRule:
+    """Weights built in code follow the type rule of scenario files."""
+
+    @pytest.mark.parametrize("matrix", ["W", "Q"])
+    @pytest.mark.parametrize("entry", ["0.5", True, None])
+    def test_non_numeric_list_entries_rejected(self, table1, matrix, entry):
+        rows = getattr(table1.weights, matrix).tolist()
+        rows[0][0] = entry
+        weights = {"W": table1.weights.W, "Q": table1.weights.Q, matrix: rows}
+        with pytest.raises(ValueError, match=f"{matrix} has non-numeric entries"):
+            WeightMatrices(**weights)
+
+    @pytest.mark.parametrize("dtype", [bool, object])
+    def test_non_numeric_array_dtype_rejected(self, table1, dtype):
+        Q = table1.weights.Q.astype(dtype)
+        with pytest.raises(ValueError, match="Q has non-numeric entries"):
+            WeightMatrices(W=table1.weights.W, Q=Q)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_int_and_float_arrays_accepted_read_only(self, dtype):
+        M = np.eye(3, dtype=dtype)
+        w = WeightMatrices(W=M, Q=M)
+        for A in (w.W, w.Q):
+            assert A.dtype == np.float64 and not A.flags.writeable
+            np.testing.assert_array_equal(A, np.eye(3))
+        assert M.flags.writeable
 
 
 class TestNodeMapping:
