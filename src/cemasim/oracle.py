@@ -14,6 +14,8 @@ the independent cross-check for the bisection route.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -349,8 +351,9 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     """
     if not (1 <= len(scenario.generators) <= 3):
         raise ValueError("brute force supports 1 to 3 generators")
-    if grid_step <= 0:
-        raise ValueError("grid_step must be positive")
+    if (isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real)
+            or not (math.isfinite(grid_step) and grid_step > 0)):
+        raise ValueError("grid_step must be a positive finite number")
 
     mu_knots, demand_knots = _demand_curve(scenario)
     demand_floor = sum(c.p_min for c in scenario.consumers)
@@ -358,6 +361,10 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     nets = [g.net(grid) for g, grid in zip(scenario.generators, grids)]
     costs = [g.cost(grid) for g, grid in zip(scenario.generators, grids)]
 
+    # at or above saturated demand d0 the price is 0, so every such point has
+    # one consumer value; evaluating it on [d0] gives the same bits
+    d0 = demand_knots[0]
+    v_sat = _consumer_allocation_value(scenario, np.array([d0]), mu_knots, demand_knots)[0]
     best_val = np.inf
     best_gen = None
     chunk = 128
@@ -368,11 +375,13 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
         for net, cost in zip(nets[1:], costs[1:]):
             S = S[..., None] + net
             base = base[..., None] + cost
-        obj = np.where(
-            S >= demand_floor - 1e-12,
-            base - _consumer_allocation_value(scenario, S, mu_knots, demand_knots),
-            np.inf,
-        )
+        feasible = S >= demand_floor - 1e-12
+        if not feasible.any():
+            continue
+        obj = base - v_sat
+        low = feasible & (S < d0)
+        obj[low] = base[low] - _consumer_allocation_value(scenario, S[low], mu_knots, demand_knots)
+        obj[~feasible] = np.inf
         flat = int(np.argmin(obj))
         val = float(obj.flat[flat])
         if val < best_val:
@@ -386,7 +395,6 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     # rebuild the full node vector: consumers at the balancing price of the
     # winning supply level
     S_best = sum(g.net(x) for g, x in zip(scenario.generators, best_gen))
-    d0 = demand_knots[0]
     mu = 0.0 if S_best >= d0 else float(
         np.interp(S_best, demand_knots[::-1], mu_knots[::-1])
     )
