@@ -32,6 +32,7 @@ DEFAULT_SOLVE_TOL = 1e-9
 ACTIVE_BOUND_TOL = 1e-7
 MAX_BRACKET_DOUBLINGS = 60
 MAX_BISECT_ITERS = 200
+GRID_CHUNK_ROWS = 128  # rows of generator 0's axis per brute-force chunk
 
 
 class InfeasibleScenarioError(ValueError):
@@ -367,17 +368,14 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     v_sat = _consumer_allocation_value(scenario, np.array([d0]), mu_knots, demand_knots)[0]
     best_val = np.inf
     best_gen = None
-    chunk = 128
-    for s in range(0, len(grids[0]), chunk):
+    for s in range(0, len(grids[0]), GRID_CHUNK_ROWS):
         # generator k adds the last axis, summed in generator order
-        S = nets[0][s:s + chunk]
-        base = costs[0][s:s + chunk]
+        S = nets[0][s:s + GRID_CHUNK_ROWS]
+        base = costs[0][s:s + GRID_CHUNK_ROWS]
         for net, cost in zip(nets[1:], costs[1:]):
             S = S[..., None] + net
             base = base[..., None] + cost
         feasible = S >= demand_floor - 1e-12
-        if not feasible.any():
-            continue
         obj = base - v_sat
         low = feasible & (S < d0)
         obj[low] = base[low] - _consumer_allocation_value(scenario, S[low], mu_knots, demand_knots)

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cemasim import (
     ConsumerParams,
@@ -12,7 +10,6 @@ from cemasim import (
     Scenario,
     brute_force_reference,
     build_uniform_weights,
-    consumer_response,
     implied_prices,
     kkt_check,
     objective_value,
@@ -20,7 +17,13 @@ from cemasim import (
     solve_centralized,
     validate_scenario,
 )
-from cemasim.oracle import _axis_grid, _balance, _consumer_allocation_value, _demand_curve
+from cemasim.oracle import (
+    GRID_CHUNK_ROWS,
+    _axis_grid,
+    _balance,
+    _consumer_allocation_value,
+    _demand_curve,
+)
 from cemasim.presets import random_scenario, ring_digraph
 
 
@@ -240,15 +243,9 @@ class TestBruteForceReference:
             brute_force_reference(s, 1.0)
 
     def test_rejects_bad_step(self, table1):
-        with pytest.raises(ValueError):
-            brute_force_reference(table1, 0.0)
-
-    @pytest.mark.parametrize(
-        "step", [0.0, -1.0, float("inf"), float("-inf"), float("nan"), True, False, "0.5", 1 + 0j, None]
-    )
-    def test_rejects_non_positive_or_non_finite_step(self, table1, step):
-        with pytest.raises(ValueError, match="grid_step must be a positive finite number"):
-            brute_force_reference(table1, step)
+        for step in (0.0, -1.0, float("inf"), float("-inf"), float("nan"), True, False, "0.5", 1 + 0j, None):
+            with pytest.raises(ValueError, match="grid_step must be a positive finite number"):
+                brute_force_reference(table1, step)
 
     def test_infeasible_grid(self):
         gen = GeneratorParams(a=0.01, b=1.0, c=0.0, B=1e-6, p_min=1.0, p_max=5.0)
@@ -259,41 +256,6 @@ class TestBruteForceReference:
     def test_objective_value_matches_brute_objective(self, table1):
         bf = brute_force_reference(table1, 0.5)
         assert objective_value(table1, bf.P) == pytest.approx(bf.objective, abs=1e-9)
-
-
-CHUNK_ROWS = 128  # rows of generator 0's axis per chunk in brute_force_reference
-
-
-def _full_evaluation(scenario, grid_step):
-    """The grid search with the consumer value evaluated at every point.
-
-    Returns (P, objective, argmin at or above saturated demand, some
-    128-row chunk wholly infeasible), or None when no point is feasible.
-    """
-    mu_knots, demand_knots = _demand_curve(scenario)
-    floor = sum(c.p_min for c in scenario.consumers)
-    gens = scenario.generators
-    grids = [_axis_grid(g.p_min, g.p_max, grid_step) for g in gens]
-    S = gens[0].net(grids[0])
-    base = gens[0].cost(grids[0])
-    for g, grid in zip(gens[1:], grids[1:]):
-        S = S[..., None] + g.net(grid)
-        base = base[..., None] + g.cost(grid)
-    feasible = S >= floor - 1e-12
-    obj = np.where(feasible, base - _consumer_allocation_value(scenario, S, mu_knots, demand_knots), np.inf)
-    flat = int(np.argmin(obj))
-    if not np.isfinite(obj.flat[flat]):
-        return None
-    idx = np.unravel_index(flat, obj.shape)
-    best_gen = [grid[i] for grid, i in zip(grids, idx)]
-    S_best = sum(g.net(x) for g, x in zip(gens, best_gen))
-    d0 = demand_knots[0]
-    mu = 0.0 if S_best >= d0 else float(np.interp(S_best, demand_knots[::-1], mu_knots[::-1]))
-    P = np.empty(scenario.n_nodes)
-    P[list(scenario.generator_nodes)] = best_gen
-    P[list(scenario.consumer_nodes)] = [consumer_response(c, mu) for c in scenario.consumers]
-    empty_chunk = any(not feasible[s:s + CHUNK_ROWS].any() for s in range(0, len(grids[0]), CHUNK_ROWS))
-    return P, float(obj.flat[flat]), bool(S.flat[flat] >= d0), empty_chunk
 
 
 def _twin_scenario(gen_p_min=20.0, con_p_max=140.0):
@@ -307,21 +269,22 @@ class TestBruteForceTies:
     """Equal objectives resolve to the lexicographically smallest grid point."""
 
     @pytest.mark.parametrize(
-        "gen_p_min, con_p_max, step, expected, rows, saturated",
+        "gen_p_min, con_p_max, step, expected, rows, split, saturated",
         [
             # both points in the first chunk
-            (20.0, 140.0, 0.5, (40.0, 40.5), (40, 41), False),
+            (20.0, 140.0, 0.5, (40.0, 40.5), (40, 41), False, False),
             # 40.25 is row 127 (first chunk), 40.375 row 128 (second chunk)
-            (24.375, 140.0, 0.125, (40.25, 40.375), (127, 128), False),
+            (24.375, 140.0, 0.125, (40.25, 40.375), (127, 128), True, False),
             # consumer capped at 70 MW: the tie lies at supply >= saturated demand
-            (20.0, 70.0, 0.5, (35.0, 35.5), (30, 31), True),
+            (20.0, 70.0, 0.5, (35.0, 35.5), (30, 31), False, True),
         ],
     )
-    def test_tied_points_resolve_to_smallest(self, gen_p_min, con_p_max, step, expected, rows, saturated):
+    def test_tied_points_resolve_to_smallest(self, gen_p_min, con_p_max, step, expected, rows, split, saturated):
         s = _twin_scenario(gen_p_min, con_p_max)
         assert validate_scenario(s) == []
         grid = _axis_grid(gen_p_min, 300.0, step)
         assert (grid[rows[0]], grid[rows[1]]) == expected
+        assert (rows[0] // GRID_CHUNK_ROWS != rows[1] // GRID_CHUNK_ROWS) == split
         mu_knots, demand_knots = _demand_curve(s)
         g = s.generators[0]
         x, y = expected
@@ -333,73 +296,3 @@ class TestBruteForceTies:
         bf = brute_force_reference(s, step)
         assert tuple(bf.P[list(s.generator_nodes)]) == expected
         assert bf.objective == obj[0]
-
-
-@st.composite
-def _grid_cases(draw):
-    """A 1-3 generator scenario and a step giving at most about 25k grid points.
-
-    Generator 0's axis may run past two 128-row chunks, and the demand floor
-    is a drawn point of the net supply range, so leading chunks can be
-    wholly infeasible; low marginal costs or high generator floors put the
-    optimum at or above saturated demand.
-    """
-    n_gen = draw(st.integers(1, 3))
-    step = draw(st.floats(0.05, 2.0))
-    gens = []
-    for k in range(n_gen):
-        if k == 0:
-            rows = draw(st.integers(2 * CHUNK_ROWS, [600, 400, 300][n_gen - 1])
-                        if draw(st.booleans()) else st.integers(0, CHUNK_ROWS))
-        else:
-            rows = draw(st.integers(0, [30, 8][n_gen - 2]))
-        p_min = draw(st.floats(0.0, 80.0))
-        gens.append(GeneratorParams(
-            a=draw(st.floats(0.001, 0.01)),
-            b=draw(st.floats(0.05, 8.0)),
-            c=draw(st.floats(0.0, 30.0)),
-            B=draw(st.floats(0.0, 4e-4)),
-            p_min=p_min,
-            p_max=p_min + rows * step + draw(st.floats(0.0, 1.0)) * step,
-        ))
-    s_min = sum(g.net(g.p_min) for g in gens)
-    s_max = sum(g.net(g.p_max) for g in gens)
-    floor = s_min + draw(st.floats(0.0, 1.05)) * (s_max - s_min)
-    n_con = draw(st.integers(1, 2))
-    cons = []
-    for _ in range(n_con):
-        p_min = floor / n_con
-        cons.append(ConsumerParams(
-            w=draw(st.floats(2.0, 20.0)),
-            alpha=draw(st.floats(0.01, 0.1)),
-            p_min=p_min,
-            p_max=p_min + draw(st.floats(0.0, 150.0)),
-        ))
-    return _scenario(gens, cons), step
-
-
-class TestBruteForceProperty:
-    def test_matches_full_evaluation(self):
-        seen = set()
-
-        @settings(derandomize=True, max_examples=150, database=None, deadline=None)
-        @given(case=_grid_cases())
-        def check(case):
-            s, step = case
-            ref = _full_evaluation(s, step)
-            if ref is None:
-                with pytest.raises(InfeasibleScenarioError):
-                    brute_force_reference(s, step)
-                return
-            P, objective, saturated, empty_chunk = ref
-            bf = brute_force_reference(s, step)
-            assert np.float64(bf.objective).tobytes() == np.float64(objective).tobytes()
-            assert bf.P.tobytes() == P.tobytes()
-            seen.add(("generators", len(s.generators)))
-            seen.add(("saturated", saturated))
-            if empty_chunk:
-                seen.add("empty chunk")
-
-        check()
-        assert seen >= {("generators", 1), ("generators", 2), ("generators", 3),
-                        ("saturated", False), ("saturated", True), "empty chunk"}
