@@ -108,7 +108,5 @@ def lambda_init(params: AgentParams) -> float:
             raise ValueError("2*B*p_min >= 1; loss-adjusted marginal cost undefined")
         return params.loss_adjusted_marginal_cost(params.p_min)
     if isinstance(params, ConsumerParams):
-        if params.p_max <= params.saturation:
-            return params.w - 2.0 * params.alpha * params.p_max
-        return 0.0
+        return params.marginal_utility(params.p_max)
     raise TypeError(f"unsupported agent parameters: {type(params).__name__}")

@@ -29,6 +29,7 @@ from . import engine, oracle
 from .presets import TABLE1_REFERENCE_DISPATCH, random_scenario, table1_scenario
 from .scenario import (
     Scenario,
+    json_text,
     load_scenario,
     save_scenario,
     validate_scenario,
@@ -61,11 +62,6 @@ def _load(path: str):
     return scenario, None
 
 
-def _json_text(obj) -> str:
-    """The one JSON layout of every report: indent 2, sorted keys, final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _invalid(violations) -> int:
     for v in violations:
         print(f"invalid scenario: node={v.node} rule={v.rule}: {v.message}", file=sys.stderr)
@@ -85,8 +81,8 @@ def _price_spread(prices: np.ndarray, interior: np.ndarray) -> float:
 
 
 def _run_summary(scenario: Scenario, result: engine.RunResult) -> dict:
-    P = result.final_P
-    lam = result.final_lambda
+    final = result.trace[-1]
+    P, lam = final.P, final.lam
     P_gen = P[list(scenario.generator_nodes)]
     interior = np.array(
         [g.p_min + 1e-9 < float(p) < g.p_max - 1e-9 for g, p in zip(scenario.generators, P_gen)],
@@ -98,9 +94,9 @@ def _run_summary(scenario: Scenario, result: engine.RunResult) -> dict:
         "rounds": result.rounds,
         "final_lambda": lam.tolist(),
         "final_P": P.tolist(),
-        "final_xi": result.final_xi.tolist(),
-        "mismatch": engine.mismatch(P, scenario),
-        "lambda_spread": float(lam.max() - lam.min()),
+        "final_xi": final.xi.tolist(),
+        "mismatch": final.mismatch,
+        "lambda_spread": final.lambda_spread,
         "max_conservation_gap": result.max_conservation_gap,
         "interior_generators": interior.tolist(),
     }
@@ -145,7 +141,7 @@ def cmd_run(args) -> int:
         try:
             engine.write_trace_csv(result, scenario, out_dir / f"trace_{variant}.csv")
             engine.write_round_summary_csv(result, out_dir / f"rounds_{variant}.csv")
-            (out_dir / f"report_{variant}.json").write_text(_json_text(summary))
+            (out_dir / f"report_{variant}.json").write_text(json_text(summary))
         except OSError as exc:
             return _fail(f"cannot write {args.output_dir!r}: {exc}")
         print(
@@ -213,7 +209,7 @@ def cmd_kkt(args) -> int:
             return _fail(f"no candidate given and solve failed: {exc}")
         P, lam = sol.P, sol.lam
     report = oracle.kkt_check(P, lam, scenario, tol=args.tol)
-    text = _json_text(report.to_dict())
+    text = json_text(report.to_dict())
     if args.output:
         try:
             Path(args.output).write_text(text)
@@ -349,7 +345,7 @@ def cmd_counterexample(args) -> int:
             sidecar = path.with_name(path.name + ".sidecar.json")
         try:
             path.write_text(text)
-            sidecar.write_text(_json_text(payload))
+            sidecar.write_text(json_text(payload))
         except OSError as exc:
             return _fail(f"cannot write {args.report!r}: {exc}")
     else:

@@ -135,16 +135,14 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     mism = 0.0
     trace = [record(0, lam, P, xi, mism)]
     terminated = TERMINATED_BY_MAX_ITERS
-    rounds = 0
     max_gap = 0.0
 
     for k in range(1, scenario.max_iters + 1):
         lam_new = lambda_step(lam, xi, W, scenario.eta)
-        rounds = k
         if not np.all(np.isfinite(lam_new)):
             # the best responses reject a non-finite price: the round stops
             # here, its record holds the new prices and the state they mixed
-            trace.append(record(k, lam_new, P, xi, mism))
+            lam = lam_new
             terminated = TERMINATED_DIVERGED
             break
         P_new = power_step(scenario, variant, lam_new)
@@ -156,28 +154,27 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
         if gap > max_gap:
             max_gap = gap
 
+        # NaN and +-inf fail the guard's comparison too
         max_abs_xi = np.abs(xi_new).max()
-        if not np.all(np.isfinite(xi_new)) or max_abs_xi > SURPLUS_DIVERGENCE_LIMIT:
-            trace.append(record(k, lam_new, P_new, xi_new, mism))
+        if not max_abs_xi <= SURPLUS_DIVERGENCE_LIMIT:
             terminated = TERMINATED_DIVERGED
-            break
-
-        done = (
-            max_abs_xi <= scenario.eps_m
-            and np.abs(lam_new - lam).max() <= scenario.eps_l
-        )
-        lam, P, xi, net = lam_new, P_new, xi_new, net_new
-        if done or k == scenario.max_iters or k % trace_stride == 0:
-            trace.append(record(k, lam, P, xi, mism))
-        if done:
+        elif max_abs_xi <= scenario.eps_m and np.abs(lam_new - lam).max() <= scenario.eps_l:
             terminated = TERMINATED_BY_TOLERANCE
+        lam, P, xi, net = lam_new, P_new, xi_new, net_new
+        if terminated != TERMINATED_BY_MAX_ITERS:
             break
+        if k % trace_stride == 0:
+            trace.append(record(k, lam, P, xi, mism))
+
+    # every exit leaves round k's state bound: it is the final record
+    if trace[-1].k != k:
+        trace.append(record(k, lam, P, xi, mism))
 
     return RunResult(
         trace=trace,
         terminated=terminated,
         variant=variant,
-        rounds=rounds,
+        rounds=k,
         max_conservation_gap=max_gap,
     )
 

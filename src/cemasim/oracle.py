@@ -33,6 +33,7 @@ ACTIVE_BOUND_TOL = 1e-7
 MAX_BRACKET_DOUBLINGS = 60
 MAX_BISECT_ITERS = 200
 GRID_CHUNK_ROWS = 128  # rows of generator 0's axis per brute-force chunk
+GRID_POINT_BUDGET = 10**8  # most brute-force grid points searched in one call
 
 
 class InfeasibleScenarioError(ValueError):
@@ -94,54 +95,45 @@ def solve_centralized(scenario: Scenario) -> CentralSolution:
             f"demand floor {min_demand} exceeds maximal net supply {max_supply}"
         )
 
-    g0 = _balance(scenario, 0.0)
-    if g0 >= 0.0:
-        P = _responses(scenario, 0.0)
-        return CentralSolution(
-            lam=0.0,
-            P=P,
-            objective=objective_value(scenario, P),
-            balance_residual=g0,
-            bracket_width=0.0,
-            iterations=0,
-        )
-
-    hi = 0.0
-    for g in scenario.generators:
-        hi = max(hi, g.loss_adjusted_marginal_cost(g.p_max))
-    for c in scenario.consumers:
-        hi = max(hi, c.marginal_utility(c.p_min))
-    if hi <= 0.0:
-        hi = 1.0
-    doublings = 0
-    while _balance(scenario, hi) < 0.0:
-        hi *= 2.0
-        doublings += 1
-        if doublings > MAX_BRACKET_DOUBLINGS:
-            raise BracketError(f"could not bracket the balance price; g({hi}) < 0")
-
-    lo = 0.0
-    lam = hi
+    # slack balance, g(0) >= 0: net supply covers peak demand at price 0,
+    # so lam = 0 with no bracket and no bisection
+    lam = lo = hi = 0.0
     g_lam = _balance(scenario, lam)
     iterations = 0
-    while iterations < MAX_BISECT_ITERS:
-        mid = 0.5 * (lo + hi)
-        g_mid = _balance(scenario, mid)
-        if g_mid >= 0.0:
-            hi, lam, g_lam = mid, mid, g_mid
+    if g_lam < 0.0:
+        for g in scenario.generators:
+            hi = max(hi, g.loss_adjusted_marginal_cost(g.p_max))
+        for c in scenario.consumers:
+            hi = max(hi, c.marginal_utility(c.p_min))
+        if hi <= 0.0:
+            hi = 1.0
+        doublings = 0
+        while _balance(scenario, hi) < 0.0:
+            hi *= 2.0
+            doublings += 1
+            if doublings > MAX_BRACKET_DOUBLINGS:
+                raise BracketError(f"could not bracket the balance price; g({hi}) < 0")
+
+        lam = hi
+        g_lam = _balance(scenario, lam)
+        while iterations < MAX_BISECT_ITERS:
+            mid = 0.5 * (lo + hi)
+            g_mid = _balance(scenario, mid)
+            if g_mid >= 0.0:
+                hi, lam, g_lam = mid, mid, g_mid
+            else:
+                lo = mid
+            iterations += 1
+            if abs(g_lam) <= tol and (hi - lo) <= tol * max(1.0, lam):
+                break
+            if hi - lo <= np.finfo(float).eps * max(1.0, hi):
+                break
         else:
-            lo = mid
-        iterations += 1
-        if abs(g_lam) <= tol and (hi - lo) <= tol * max(1.0, lam):
-            break
-        if hi - lo <= np.finfo(float).eps * max(1.0, hi):
-            break
-    else:
-        raise BracketError("bisection failed to reach the requested tolerance")
-    if abs(g_lam) > tol:
-        raise BracketError(
-            f"bisection stalled: |g(lam)| = {abs(g_lam)} > tol = {tol} at lam = {lam}"
-        )
+            raise BracketError("bisection failed to reach the requested tolerance")
+        if abs(g_lam) > tol:
+            raise BracketError(
+                f"bisection stalled: |g(lam)| = {abs(g_lam)} > tol = {tol} at lam = {lam}"
+            )
 
     P = _responses(scenario, lam)
     return CentralSolution(
@@ -317,16 +309,16 @@ def _consumer_response_vec(c, mu: np.ndarray) -> np.ndarray:
     return np.clip(x, c.p_min, c.p_max)
 
 
-def _consumer_allocation_value(scenario: Scenario, S: np.ndarray, mu_knots, demand_knots):
-    """Best total utility given net supply S, via the balancing price.
+def _balancing_price(S, mu_knots, demand_knots):
+    """Price at which aggregate demand meets net supply S: 0 at or above
+    saturated demand d0, else the inverse of the demand curve, which is exact
+    between knots because demand is nonincreasing piecewise-linear in price."""
+    return np.where(S >= demand_knots[0], 0.0, np.interp(S, demand_knots[::-1], mu_knots[::-1]))
 
-    Demand is nonincreasing piecewise-linear in the price, so inverting it at
-    S (between knots) is exact; consumers then respond to that price.
-    """
-    d0 = demand_knots[0]
-    x = demand_knots[::-1]
-    y = mu_knots[::-1]
-    mu = np.where(S >= d0, 0.0, np.interp(S, x, y))
+
+def _consumer_allocation_value(scenario: Scenario, S: np.ndarray, mu_knots, demand_knots):
+    """Best total utility given net supply S: consumers take the balancing price."""
+    mu = _balancing_price(S, mu_knots, demand_knots)
     value = np.zeros_like(S)
     for c in scenario.consumers:
         r = _consumer_response_vec(c, mu)
@@ -342,19 +334,30 @@ def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
     return g
 
 
+def _axis_points(lo: float, hi: float, step: float) -> float:
+    """len(_axis_grid(lo, hi, step)) without building the axis; inf past float range."""
+    k = np.floor((hi - lo) / step) + 1.0
+    return k + 1.0 if lo + step * (k - 1.0) < hi else k
+
+
 def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceResult:
     """Grid search over generator powers; consumers take the balancing price.
 
     Feasibility keeps net supply >= the consumer demand floor (the relaxed
     balance as an inequality). Returns the best feasible grid point, ties
     resolved to the lexicographically smallest one. Cost grows with the
-    product of the generator grids, so at most 3 generators are accepted.
+    product of the generator grids, so at most 3 generators and
+    GRID_POINT_BUDGET points are accepted, checked before any allocation.
     """
     if not (1 <= len(scenario.generators) <= 3):
         raise ValueError("brute force supports 1 to 3 generators")
     if (isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real)
             or not (math.isfinite(grid_step) and grid_step > 0)):
         raise ValueError("grid_step must be a positive finite number")
+    points = math.prod(_axis_points(g.p_min, g.p_max, grid_step) for g in scenario.generators)
+    if not points <= GRID_POINT_BUDGET:
+        raise ValueError(f"grid_step {grid_step} gives {points:.4g} grid points, "
+                         f"above the budget of {GRID_POINT_BUDGET:.4g}")
 
     mu_knots, demand_knots = _demand_curve(scenario)
     demand_floor = sum(c.p_min for c in scenario.consumers)
@@ -393,9 +396,7 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     # rebuild the full node vector: consumers at the balancing price of the
     # winning supply level
     S_best = sum(g.net(x) for g, x in zip(scenario.generators, best_gen))
-    mu = 0.0 if S_best >= d0 else float(
-        np.interp(S_best, demand_knots[::-1], mu_knots[::-1])
-    )
+    mu = float(_balancing_price(S_best, mu_knots, demand_knots))
     P = np.empty(scenario.n_nodes)
     P[list(scenario.generator_nodes)] = best_gen
     P[list(scenario.consumer_nodes)] = [consumer_response(c, mu) for c in scenario.consumers]

@@ -457,10 +457,14 @@ def scenario_from_dict(d: dict) -> Scenario:
     )
 
 
+def json_text(obj) -> str:
+    """The one JSON layout of scenario files and reports: indent 2, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def save_scenario(s: Scenario, path) -> None:
     with open(path, "w") as f:
-        json.dump(scenario_to_dict(s), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json_text(scenario_to_dict(s)))
 
 
 def load_scenario(path) -> Scenario:

@@ -150,6 +150,13 @@ class TestLambdaInit:
         assert CON2.p_max > CON2.saturation
         assert lambda_init(CON2) == 0.0
 
+    def test_cap_at_saturation_consumer(self):
+        # w - 2*alpha*p_max rounds to -1.8e-15 at this cap; the marginal
+        # utility clamps it, so the starting price is not negative
+        con = ConsumerParams(w=15.0, alpha=0.045, p_min=1.0, p_max=15.0 / 0.09)
+        assert con.p_max == con.saturation
+        assert lambda_init(con) == 0.0
+
     def test_rejects_degenerate_divisor(self):
         p = GeneratorParams(a=1.0, b=1.0, c=0.0, B=0.5, p_min=1.0, p_max=2.0)
         with pytest.raises(ValueError):

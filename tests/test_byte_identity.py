@@ -5,9 +5,10 @@ the shared best-response loop existed; the strided and capped cases were
 recorded before the trace writers dropped `csv.writer`; the brute-force grid,
 `gen-scenario` and `counterexample` digests were recorded before the loss
 model moved into `GeneratorParams`; the `kkt` stdout digest was recorded
-before the CLI's JSON writers became one helper. A change to any number,
-its 17-digit formatting, the order of a sum or the layout of a report shows
-up here.
+before the CLI's JSON writers became one helper; the diverged-run digests
+were recorded before `engine.run` appended its final record at one site. A
+change to any number, its 17-digit formatting, the order of a sum or the
+layout of a report shows up here.
 """
 
 import hashlib
@@ -15,9 +16,16 @@ import json
 
 import pytest
 
-from cemasim import brute_force_reference, save_scenario
+from cemasim import (
+    ConsumerParams,
+    GeneratorParams,
+    Scenario,
+    brute_force_reference,
+    build_uniform_weights,
+    save_scenario,
+)
 from cemasim.cli import main
-from cemasim.presets import random_scenario, table1_scenario
+from cemasim.presets import random_scenario, ring_digraph, table1_scenario
 
 RUN_FILES = ("trace_{}.csv", "rounds_{}.csv", "report_{}.json")
 
@@ -63,6 +71,15 @@ RUN_DIGESTS = {
         "report_corrected": "d8c9f7d925aabcaae07a10c5ea9e0d8378e1600ccd365adca0d6c0b646494f98",
     },
 }
+# both variants stop `diverged` at round 1 on the |xi| guard
+DIVERGED_RUN_DIGESTS = {
+    "trace_original": "89714f6960909e3779aa6bcb43fccf15fe0da2be6afe948379ff09c48ad5f4a5",
+    "rounds_original": "32aedc03c5dbf55b22faf622bd4fe3c307c5f5c33ec5946ef704b41a01239beb",
+    "report_original": "756c42a86307d3a6145a6042b764c980a855e582db1cb1f16451f165ae6b84f4",
+    "trace_corrected": "89714f6960909e3779aa6bcb43fccf15fe0da2be6afe948379ff09c48ad5f4a5",
+    "rounds_corrected": "32aedc03c5dbf55b22faf622bd4fe3c307c5f5c33ec5946ef704b41a01239beb",
+    "report_corrected": "e0368b7257f7b9f0721653a5499e547926625d0647911d2071941c279a7ba9f4",
+}
 SOLVE_STDOUT_DIGEST = "75d121a22d16f92d18985f7e498af56dc5c8f162ae718e968f8496481cf0a591"
 KKT_REPORT_DIGEST = "9517318e0df3b670afe02580f9ee75ff00ad2152519c480e69a122e1ca78afb7"
 # printed and written reports carry the same bytes
@@ -85,14 +102,18 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run_digests(scenario_path, out, extra=()) -> dict:
-    main(["run", "--scenario", str(scenario_path), "--variant", "both",
-          "--output-dir", str(out), *extra])
+def _file_digests(out) -> dict:
     return {
         name.format(variant).split(".")[0]: _sha((out / name.format(variant)).read_bytes())
         for variant in ("original", "corrected")
         for name in RUN_FILES
     }
+
+
+def _run_digests(scenario_path, out, extra=()) -> dict:
+    main(["run", "--scenario", str(scenario_path), "--variant", "both",
+          "--output-dir", str(out), *extra])
+    return _file_digests(out)
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +143,26 @@ def scenario_files(tmp_path_factory):
 )
 def test_run_outputs_byte_identical(scenario_files, tmp_path, case, scenario, extra):
     assert _run_digests(scenario_files[scenario], tmp_path, extra) == RUN_DIGESTS[case]
+
+
+def test_diverged_run_byte_identical(tmp_path):
+    # valid parameters whose net injection overflows float range as soon as
+    # the generator is pushed to its cap (test_engine's overflow scenario)
+    graph = ring_digraph(1, 1)
+    s = Scenario(
+        generators=(GeneratorParams(a=1e-170, b=1.0, c=0.0, B=1e-170, p_min=1.0, p_max=1e160),),
+        consumers=(ConsumerParams(w=1e155, alpha=1e-10, p_min=1e150, p_max=1e155),),
+        graph=graph, weights=build_uniform_weights(graph),
+        eta=0.002, eps_m=1e-8, eps_l=1e-8, max_iters=50,
+    )
+    save_scenario(s, tmp_path / "overflow.json")
+    out = tmp_path / "out"
+    assert main(["run", "--scenario", str(tmp_path / "overflow.json"), "--variant", "both",
+                 "--output-dir", str(out)]) == 2
+    assert _file_digests(out) == DIVERGED_RUN_DIGESTS
+    for variant in ("original", "corrected"):
+        report = json.loads((out / f"report_{variant}.json").read_text())
+        assert (report["terminated"], report["rounds"]) == ("diverged", 1)
 
 
 def test_solve_and_kkt_outputs_byte_identical(scenario_files, tmp_path, capsys):

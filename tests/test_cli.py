@@ -75,6 +75,28 @@ class TestRunCommand:
         assert report["implied_price_spread_corrected"] == 0.0
         assert report["implied_prices_disagree"] is False
 
+    def test_demand_floor_above_supply_validates_and_exits_two(self, tmp_path, capsys):
+        # a demand floor no generator output can meet is not a validation
+        # rule: run drifts to its cap and solve reports the scenario infeasible
+        gen = GeneratorParams(a=0.01, b=1.0, c=0.0, B=1e-6, p_min=1.0, p_max=5.0)
+        con = ConsumerParams(w=10.0, alpha=0.01, p_min=100.0, p_max=200.0)
+        graph = ring_digraph(1, 1)
+        s = Scenario(generators=(gen,), consumers=(con,), graph=graph,
+                     weights=build_uniform_weights(graph),
+                     eta=0.002, eps_m=1e-8, eps_l=1e-8, max_iters=20)
+        assert validate_scenario(s) == []
+        path = tmp_path / "short.json"
+        save_scenario(s, path)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--variant", "both",
+                     "--output-dir", str(out)]) == 2
+        for variant in ("original", "corrected"):
+            report = json.loads((out / f"report_{variant}.json").read_text())
+            assert (report["terminated"], report["rounds"]) == ("by-max-iters", 20)
+        capsys.readouterr()
+        assert main(["solve", "--scenario", str(path)]) == 2
+        assert "infeasible scenario: demand floor" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self, tmp_path):
         assert main(["run", "--scenario", str(tmp_path / "nope.json"),
                      "--output-dir", str(tmp_path)]) == 1

@@ -1,5 +1,7 @@
 """Centralized solver, KKT certification, implied prices, brute-force reference."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from cemasim import (
 from cemasim.oracle import (
     GRID_CHUNK_ROWS,
     _axis_grid,
+    _axis_points,
     _balance,
     _consumer_allocation_value,
     _demand_curve,
@@ -246,6 +249,22 @@ class TestBruteForceReference:
         for step in (0.0, -1.0, float("inf"), float("-inf"), float("nan"), True, False, "0.5", 1 + 0j, None):
             with pytest.raises(ValueError, match="grid_step must be a positive finite number"):
                 brute_force_reference(table1, step)
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0.0, 1.0, 0.1), (0.0, 1.0, 0.3), (1.0, 1.0, 0.5), (24.375, 300.0, 0.125),
+        (60.0, 339.69, 0.05), (0.0, 1.0, 1e-3), (0.1, 0.7, 0.2),
+    ])
+    def test_axis_points_counts_axis_grid(self, lo, hi, step):
+        assert _axis_points(lo, hi, step) == len(_axis_grid(lo, hi, step))
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-9, 5e-324])
+    def test_rejects_grid_above_point_budget(self, table1, step):
+        # 1e-9 would allocate about 2 TiB, 1e-4 run for hours, and 5e-324
+        # overflows the count to inf: each is refused before any allocation
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="above the budget"):
+            brute_force_reference(table1, step)
+        assert time.perf_counter() - start < 0.5
 
     def test_infeasible_grid(self):
         gen = GeneratorParams(a=0.01, b=1.0, c=0.0, B=1e-6, p_min=1.0, p_max=5.0)
