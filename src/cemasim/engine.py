@@ -15,6 +15,8 @@ which is the engine's primary structural invariant.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +42,16 @@ class InvalidScenarioError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class IterationRecord:
+    """One kept round k: its prices, powers and surplus, the mismatch, and
+    the summaries max(lam) - min(lam) and max|xi| the round computed."""
+
     k: int
     lam: np.ndarray
     P: np.ndarray
     xi: np.ndarray
     mismatch: float
     lambda_spread: float
+    max_abs_xi: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,69 +112,72 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     if violations:
         raise InvalidScenarioError(violations)
     best_response.variant_pair(variant)
-    if trace_stride < 1:
-        raise ValueError("trace_stride must be >= 1")
+    if (isinstance(trace_stride, bool) or not isinstance(trace_stride, numbers.Integral)
+            or trace_stride < 1):
+        raise ValueError("trace_stride must be an integer >= 1")
 
     n = scenario.n_nodes
     W = scenario.weights.W
     Q = scenario.weights.Q
+    eta, eps_m, eps_l = scenario.eta, scenario.eps_m, scenario.eps_l
     agents = scenario.agents
     sign = agents.sign
+    # the ufuncs' own reductions: the np.max/np.sum wrappers cost more than
+    # the arithmetic at these sizes, and sum in the same pairwise order
+    amax, amin, total = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
     lam = np.array([best_response.lambda_init(p) for p in agents.params])
     P = np.zeros(n)
-    net = agents.net(P)
+    # signed net injection: the surplus update books its change, and its sum
+    # is the mismatch
+    snet = sign * agents.net(P)
     xi = np.zeros(n)
+    mism = 0.0
+    spread = float(amax(lam) - amin(lam))
+    max_abs_xi = 0.0
 
     # every round binds fresh arrays and none is mutated afterwards, so a
     # record can hold them without copying
-    def record(k, lam_v, P_v, xi_v, mism):
-        return IterationRecord(
-            k=k,
-            lam=lam_v,
-            P=P_v,
-            xi=xi_v,
-            mismatch=mism,
-            lambda_spread=float(lam_v.max() - lam_v.min()),
-        )
-
-    mism = 0.0
-    trace = [record(0, lam, P, xi, mism)]
+    trace = [IterationRecord(0, lam, P, xi, mism, spread, max_abs_xi)]
     terminated = TERMINATED_BY_MAX_ITERS
     max_gap = 0.0
 
     for k in range(1, scenario.max_iters + 1):
-        lam_new = lambda_step(lam, xi, W, scenario.eta)
-        if not np.all(np.isfinite(lam_new)):
+        lam_new = lambda_step(lam, xi, W, eta)
+        # one max/min pair is both the finiteness test and the spread: NaN
+        # propagates through both, and +-inf shows in one of them
+        hi, lo = float(amax(lam_new)), float(amin(lam_new))
+        spread = hi - lo
+        if not (-math.inf < lo and hi < math.inf):
             # the best responses reject a non-finite price: the round stops
             # here, its record holds the new prices and the state they mixed
             lam = lam_new
             terminated = TERMINATED_DIVERGED
             break
         P_new = power_step(scenario, variant, lam_new)
-        net_new = agents.net(P_new)
-        xi_new = Q @ xi + sign * (net_new - net)
+        snet_new = sign * agents.net(P_new)
+        xi_new = Q @ xi + (snet_new - snet)
 
-        mism = float(np.sum(sign * net_new))
-        gap = abs(float(xi_new.sum()) - mism)
+        mism = float(total(snet_new))
+        gap = abs(float(total(xi_new)) - mism)
         if gap > max_gap:
             max_gap = gap
 
         # NaN and +-inf fail the guard's comparison too
-        max_abs_xi = np.abs(xi_new).max()
+        max_abs_xi = float(amax(np.abs(xi_new)))
         if not max_abs_xi <= SURPLUS_DIVERGENCE_LIMIT:
             terminated = TERMINATED_DIVERGED
-        elif max_abs_xi <= scenario.eps_m and np.abs(lam_new - lam).max() <= scenario.eps_l:
+        elif max_abs_xi <= eps_m and amax(np.abs(lam_new - lam)) <= eps_l:
             terminated = TERMINATED_BY_TOLERANCE
-        lam, P, xi, net = lam_new, P_new, xi_new, net_new
+        lam, P, xi, snet = lam_new, P_new, xi_new, snet_new
         if terminated != TERMINATED_BY_MAX_ITERS:
             break
         if k % trace_stride == 0:
-            trace.append(record(k, lam, P, xi, mism))
+            trace.append(IterationRecord(k, lam, P, xi, mism, spread, max_abs_xi))
 
     # every exit leaves round k's state bound: it is the final record
     if trace[-1].k != k:
-        trace.append(record(k, lam, P, xi, mism))
+        trace.append(IterationRecord(k, lam, P, xi, mism, spread, max_abs_xi))
 
     return RunResult(
         trace=trace,
@@ -213,4 +222,4 @@ def write_round_summary_csv(result: RunResult, path) -> None:
         f.write("k,mismatch,lambda_spread,max_abs_xi\r\n")
         for rec in result.trace:
             f.write("%d,%.17g,%.17g,%.17g\r\n"
-                    % (rec.k, rec.mismatch, rec.lambda_spread, np.abs(rec.xi).max()))
+                    % (rec.k, rec.mismatch, rec.lambda_spread, rec.max_abs_xi))

@@ -108,14 +108,16 @@ def solve_centralized(scenario: Scenario) -> CentralSolution:
         if hi <= 0.0:
             hi = 1.0
         doublings = 0
-        while _balance(scenario, hi) < 0.0:
+        g_lam = _balance(scenario, hi)
+        while g_lam < 0.0:
             hi *= 2.0
             doublings += 1
             if doublings > MAX_BRACKET_DOUBLINGS:
                 raise BracketError(f"could not bracket the balance price; g({hi}) < 0")
+            g_lam = _balance(scenario, hi)
 
+        # the bracket's last evaluation is g(lam) at the upper end
         lam = hi
-        g_lam = _balance(scenario, lam)
         while iterations < MAX_BISECT_ITERS:
             mid = 0.5 * (lo + hi)
             g_mid = _balance(scenario, mid)

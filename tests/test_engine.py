@@ -194,27 +194,39 @@ class TestRun:
 
     def test_non_finite_price_ends_run_diverged(self, table1, monkeypatch):
         # valid scenarios keep their prices finite, so the mixed prices of
-        # round 3 are made infinite by hand
+        # round 3 are made non-finite by hand: -inf hides from a test that
+        # reads only the max, +inf from one that reads only the min, and NaN
+        # from one that looks for +-inf alone
         mix = engine.lambda_step
-        rounds = []
+        for bad in (np.inf, -np.inf, np.nan):
+            rounds = []
 
-        def lambda_step(*args):
-            lam = mix(*args)
-            rounds.append(None)
-            if len(rounds) == 3:
-                lam[1] = np.inf
-            return lam
+            def lambda_step(*args):
+                lam = mix(*args)
+                rounds.append(None)
+                if len(rounds) == 3:
+                    lam[1] = bad
+                return lam
 
-        monkeypatch.setattr(engine, "lambda_step", lambda_step)
-        result = run(table1, "corrected")
-        assert result.terminated == TERMINATED_DIVERGED
-        assert result.rounds == 3
-        last, before = result.trace[-1], result.trace[-2]
-        assert (last.k, before.k) == (3, 2)
-        assert np.isinf(last.lam[1]) and np.all(np.isfinite(np.delete(last.lam, 1)))
-        # no best response ran: the record keeps the state round 3 mixed from
-        assert last.P is before.P and last.xi is before.xi
-        assert last.mismatch == before.mismatch
+            monkeypatch.setattr(engine, "lambda_step", lambda_step)
+            result = run(table1, "corrected")
+            assert result.terminated == TERMINATED_DIVERGED
+            assert result.rounds == 3
+            last, before = result.trace[-1], result.trace[-2]
+            assert (last.k, before.k) == (3, 2)
+            assert np.array_equal(last.lam[1], bad, equal_nan=True)
+            assert np.all(np.isfinite(np.delete(last.lam, 1)))
+            expected = float(last.lam.max() - last.lam.min())
+            assert np.array_equal(last.lambda_spread, expected, equal_nan=True)
+            # no best response ran: the record keeps the state round 3 mixed from
+            assert last.P is before.P and last.xi is before.xi
+            assert last.mismatch == before.mismatch
+            assert last.max_abs_xi == before.max_abs_xi
+
+    @pytest.mark.parametrize("stride", [2.5, float("nan"), 3.0, "3", True, None, 0, -1])
+    def test_trace_stride_must_be_integer(self, table1, stride):
+        with pytest.raises(ValueError, match="trace_stride must be an integer >= 1"):
+            run(table1, "corrected", trace_stride=stride)
 
     def test_invalid_scenario_rejected(self, table1):
         s = dataclasses.replace(table1, eta=2.0)
@@ -229,11 +241,11 @@ class TestRun:
             run(s, "corrected")
 
     def test_trace_stride_keeps_endpoints(self, table1):
-        result = run(table1, "corrected", trace_stride=100)
-        ks = [rec.k for rec in result.trace]
-        assert ks[0] == 0
-        assert ks[-1] == result.rounds
-        assert all(k % 100 == 0 or k == result.rounds for k in ks)
+        for stride in (100, np.int64(100)):
+            result = run(table1, "corrected", trace_stride=stride)
+            ks = [rec.k for rec in result.trace]
+            assert ks == [0, 100, 200, result.rounds]
+            assert result.rounds == 254
 
     def test_interleaved_node_kinds_reach_same_optimum(self, table1):
         # same four agents on an alternating ring: node indices change, the
@@ -358,7 +370,8 @@ class TestTraceSerialization:
 
         def rec(k, lam, P, xi, mism, spread):
             return IterationRecord(k=k, lam=np.array(lam), P=np.array(P), xi=np.array(xi),
-                                   mismatch=mism, lambda_spread=spread)
+                                   mismatch=mism, lambda_spread=spread,
+                                   max_abs_xi=float(np.abs(np.array(xi)).max()))
 
         trace = [
             rec(0, edge[0:4], edge[4:8], edge[2:6], -0.0, float("nan")),

@@ -53,6 +53,26 @@ class TestSolveCentralized:
         np.testing.assert_array_equal(sol.P[2:], [100.34, 100.0])
         assert abs(sol.balance_residual) <= 1e-9
 
+    def test_table1_evaluates_each_price_once(self, table1, monkeypatch):
+        # g(0), g at the bracket's upper end (no doubling needed) and 40
+        # bisection steps: the upper end's value is kept, not recomputed
+        from cemasim import oracle
+
+        prices = []
+
+        def balance(scenario, lam):
+            prices.append(lam)
+            return _balance(scenario, lam)
+
+        monkeypatch.setattr(oracle, "_balance", balance)
+        sol = solve_centralized(table1)
+        assert sol.iterations == 40
+        assert len(prices) == 42
+        assert len(set(prices)) == len(prices)
+        assert sol.lam == 6.174467483250394
+        assert sol.P.tolist() == [83.11166183245287, 123.39942275352091, 100.34, 100.0]
+        assert sol.objective == -642.9540409082808
+
     def test_table1_loss_adjusted_prices_equalize(self, table1):
         sol = solve_centralized(table1)
         prices = implied_prices(sol.P[:2], table1, "corrected")
