@@ -27,7 +27,7 @@ from .oracle import (
     objective_value,
     solve_centralized,
 )
-from .presets import random_scenario, ring_digraph, table1_scenario
+from .presets import random_scenario, table1_scenario
 from .scenario import (
     ConsumerParams,
     Digraph,
@@ -39,6 +39,7 @@ from .scenario import (
     build_uniform_weights,
     check_feasibility_condition,
     load_scenario,
+    ring_digraph,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,

@@ -39,6 +39,10 @@ from .scenario import (
 # which a fixed point is flagged as inconsistent with optimality
 PRICE_DISAGREEMENT_TOL = 1e-3
 
+# what reading a scenario or candidate file can raise (json.JSONDecodeError
+# is a ValueError): each is bad input, reported without a traceback
+READ_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_NOT_CONVERGED = 2
@@ -54,7 +58,7 @@ def _load(path: str):
     """Returns (scenario, None) or (None, exit_code)."""
     try:
         scenario = load_scenario(path)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except READ_ERRORS as exc:
         return None, _fail(f"cannot read scenario {path!r}: {exc}")
     violations = validate_scenario(scenario)
     if violations:
@@ -85,7 +89,8 @@ def _run_summary(scenario: Scenario, result: engine.RunResult) -> dict:
     P, lam = final.P, final.lam
     P_gen = P[list(scenario.generator_nodes)]
     interior = np.array(
-        [g.p_min + 1e-9 < float(p) < g.p_max - 1e-9 for g, p in zip(scenario.generators, P_gen)],
+        [g.p_min + oracle.ACTIVE_BOUND_TOL < float(p) < g.p_max - oracle.ACTIVE_BOUND_TOL
+         for g, p in zip(scenario.generators, P_gen)],
         dtype=bool,
     )
     summary = {
@@ -173,7 +178,7 @@ def cmd_solve(args) -> int:
     except oracle.BracketError as exc:
         print(f"bisection failure: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    report = oracle.kkt_check(sol.P, sol.lam, scenario, tol=1e-6)
+    report = oracle.kkt_check(sol.P, sol.lam, scenario)
     print(f"lambda* = {sol.lam:.9g}")
     for i, p in enumerate(sol.P):
         kind = scenario.graph.node_kind[i].value
@@ -181,7 +186,7 @@ def cmd_solve(args) -> int:
     print(f"objective = {sol.objective:.9g}")
     print(f"balance residual = {sol.balance_residual:.3e} bracket width = {sol.bracket_width:.3e}")
     print(f"kkt max residual = {report.max_residual:.3e}")
-    return EXIT_OK if report.max_residual <= 1e-6 else EXIT_NOT_CONVERGED
+    return EXIT_OK if report.certified else EXIT_NOT_CONVERGED
 
 
 def cmd_kkt(args) -> int:
@@ -194,7 +199,7 @@ def cmd_kkt(args) -> int:
                 cand = json.load(f)
             P = np.asarray(cand["P"], dtype=float)
             lam = float(cand["lambda"])
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except READ_ERRORS as exc:
             return _fail(f"cannot read candidate {args.candidate!r}: {exc}")
         if P.ndim != 1:
             return _fail(f"cannot read candidate {args.candidate!r}: P has shape {P.shape}")
@@ -240,7 +245,8 @@ def _counterexample_payload(scenario: Scenario) -> tuple:
 
     variants = {}
     for variant in engine.VARIANTS:
-        result = engine.run(scenario, variant, trace_stride=50)
+        # only the final record is read: keep k = 0 and the last round
+        result = engine.run(scenario, variant, trace_stride=scenario.max_iters)
         summary = _run_summary(scenario, result)
         keys = ["terminated", "rounds", "lambda_spread", "final_P", "mismatch"]
         entry = {"lambda_consensus": float(result.final_lambda.mean())}
@@ -290,7 +296,7 @@ def _counterexample_text(payload: dict) -> str:
     )
     for variant, v in payload["variants"].items():
         lines.append(f"{variant} fixed point: terminated {v['terminated']} after {v['rounds']} rounds")
-        if v["terminated"] == "by-tolerance":
+        if v["terminated"] == engine.TERMINATED_BY_TOLERANCE:
             lines.append(
                 f"  lambda = {v['lambda_consensus']:.6f}, P = {np.array(v['final_P']).round(4).tolist()}"
             )
@@ -310,7 +316,7 @@ def cmd_counterexample(args) -> int:
     if args.scenario:
         try:
             scenario = load_scenario(args.scenario)
-        except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except READ_ERRORS as exc:
             return _fail(f"cannot read scenario {args.scenario!r}: {exc}")
     else:
         scenario = table1_scenario()
@@ -395,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_kkt.add_argument("--scenario", required=True)
     p_kkt.add_argument("--candidate", default=None,
                        help='JSON file {"P": [...], "lambda": x}; defaults to the solve result')
-    p_kkt.add_argument("--tol", type=float, default=1e-6)
+    p_kkt.add_argument("--tol", type=float, default=oracle.CERTIFY_TOL)
     p_kkt.add_argument("--output", default=None, help="write the JSON report here")
     p_kkt.set_defaults(func=cmd_kkt)
 

@@ -191,8 +191,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
 # ---------------------------------------------------------------------------
 # trace serialization, 17 significant digits throughout
 #
-# Rows end in CRLF, the csv module's default line ending that earlier versions
-# wrote with; keeping it keeps the files byte-identical. "%.17g" % x and
+# Rows end in CRLF, the csv module's default line ending. "%.17g" % x and
 # f"{x:.17g}" go through the same float formatter. One kept round is one
 # %-operation on a per-file template and one write: nothing holds more than a
 # round, so memory stays flat in the number of rounds.

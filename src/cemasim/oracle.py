@@ -29,6 +29,7 @@ from .best_response import (
 from .scenario import GeneratorParams, Scenario, check_feasibility_condition
 
 DEFAULT_SOLVE_TOL = 1e-9
+CERTIFY_TOL = 1e-6  # largest KKT residual that certifies a candidate
 ACTIVE_BOUND_TOL = 1e-7
 MAX_BRACKET_DOUBLINGS = 60
 MAX_BISECT_ITERS = 200
@@ -63,6 +64,20 @@ def _balance(scenario: Scenario, lam: float) -> float:
     return float(np.cumsum(-agents.sign * agents.net(_responses(scenario, lam)))[-1])
 
 
+def infeasibility(scenario: Scenario) -> str | None:
+    """Why the dispatch problem has no solution, or None when it has one:
+    the demand-headroom condition fails, or the consumers' demand floor
+    exceeds the generators' maximal net supply."""
+    feasible, slack = check_feasibility_condition(scenario)
+    if not feasible:
+        return f"demand headroom violated: sum_cons p_max - sum_gen (p_min - B*p_max^2) = {slack}"
+    max_supply = sum(g.net(g.p_max) for g in scenario.generators)
+    min_demand = sum(c.p_min for c in scenario.consumers)
+    if max_supply < min_demand:
+        return f"demand floor {min_demand} exceeds maximal net supply {max_supply}"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class CentralSolution:
     lam: float
@@ -83,24 +98,17 @@ def solve_centralized(scenario: Scenario) -> CentralSolution:
     failure to bracket raises.
     """
     tol = DEFAULT_SOLVE_TOL
-    feasible, slack = check_feasibility_condition(scenario)
-    if not feasible:
-        raise InfeasibleScenarioError(
-            f"demand headroom violated: sum_cons p_max - sum_gen (p_min - B*p_max^2) = {slack}"
-        )
-    max_supply = sum(g.net(g.p_max) for g in scenario.generators)
-    min_demand = sum(c.p_min for c in scenario.consumers)
-    if max_supply < min_demand:
-        raise InfeasibleScenarioError(
-            f"demand floor {min_demand} exceeds maximal net supply {max_supply}"
-        )
+    reason = infeasibility(scenario)
+    if reason is not None:
+        raise InfeasibleScenarioError(reason)
 
     # slack balance, g(0) >= 0: net supply covers peak demand at price 0,
-    # so lam = 0 with no bracket and no bisection
-    lam = lo = hi = 0.0
-    g_lam = _balance(scenario, lam)
+    # so lam = 0 with no bracket and no bisection. Either way the price
+    # reported is hi, the bracket's upper end, where g(hi) >= 0
+    lo = hi = 0.0
+    g_hi = _balance(scenario, hi)
     iterations = 0
-    if g_lam < 0.0:
+    if g_hi < 0.0:
         for g in scenario.generators:
             hi = max(hi, g.loss_adjusted_marginal_cost(g.p_max))
         for c in scenario.consumers:
@@ -108,41 +116,39 @@ def solve_centralized(scenario: Scenario) -> CentralSolution:
         if hi <= 0.0:
             hi = 1.0
         doublings = 0
-        g_lam = _balance(scenario, hi)
-        while g_lam < 0.0:
+        g_hi = _balance(scenario, hi)
+        while g_hi < 0.0:
             hi *= 2.0
             doublings += 1
             if doublings > MAX_BRACKET_DOUBLINGS:
                 raise BracketError(f"could not bracket the balance price; g({hi}) < 0")
-            g_lam = _balance(scenario, hi)
+            g_hi = _balance(scenario, hi)
 
-        # the bracket's last evaluation is g(lam) at the upper end
-        lam = hi
         while iterations < MAX_BISECT_ITERS:
             mid = 0.5 * (lo + hi)
             g_mid = _balance(scenario, mid)
             if g_mid >= 0.0:
-                hi, lam, g_lam = mid, mid, g_mid
+                hi, g_hi = mid, g_mid
             else:
                 lo = mid
             iterations += 1
-            if abs(g_lam) <= tol and (hi - lo) <= tol * max(1.0, lam):
+            if abs(g_hi) <= tol and (hi - lo) <= tol * max(1.0, hi):
                 break
             if hi - lo <= np.finfo(float).eps * max(1.0, hi):
                 break
         else:
             raise BracketError("bisection failed to reach the requested tolerance")
-        if abs(g_lam) > tol:
+        if abs(g_hi) > tol:
             raise BracketError(
-                f"bisection stalled: |g(lam)| = {abs(g_lam)} > tol = {tol} at lam = {lam}"
+                f"bisection stalled: |g(lam)| = {abs(g_hi)} > tol = {tol} at lam = {hi}"
             )
 
-    P = _responses(scenario, lam)
+    P = _responses(scenario, hi)
     return CentralSolution(
-        lam=lam,
+        lam=hi,
         P=P,
         objective=objective_value(scenario, P),
-        balance_residual=g_lam,
+        balance_residual=g_hi,
         bracket_width=hi - lo,
         iterations=iterations,
     )
@@ -193,7 +199,8 @@ class KktReport:
         }
 
 
-def kkt_check(P: np.ndarray, lam: float, scenario: Scenario, tol: float = 1e-6) -> KktReport:
+def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
+              tol: float = CERTIFY_TOL) -> KktReport:
     """Certify a candidate (P, lam) against the first-order conditions.
 
     Bound multipliers are recovered from complementarity: they are nonzero

@@ -116,8 +116,6 @@ class Digraph:
         return [i for i in range(self.n) if i not in loops]
 
     def is_strongly_connected(self) -> bool:
-        if self.n == 0:
-            return False
         fwd = {u: [] for u in range(self.n)}
         bwd = {u: [] for u in range(self.n)}
         for u, v in self.edges:
@@ -237,6 +235,21 @@ class Violation:
     message: str = field(compare=False)
 
 
+def ring_digraph(n_generators: int, n_consumers: int) -> Digraph:
+    """Directed ring plus reverse ring plus self-loops, generators first."""
+    n = n_generators + n_consumers
+    if n < 1:
+        raise ValueError("need at least one node")
+    kinds = ["generator"] * n_generators + ["consumer"] * n_consumers
+    edges = []
+    for i in range(n):
+        edges.append((i, i))
+        if n > 1:
+            edges.append((i, (i + 1) % n))
+            edges.append((i, (i - 1) % n))
+    return Digraph(n=n, edges=sorted(set(edges)), node_kind=kinds)
+
+
 def build_uniform_weights(g: Digraph) -> WeightMatrices:
     """Uniform in-neighbor weights for W, uniform out-neighbor splitting for Q.
 
@@ -319,8 +332,6 @@ def validate_scenario(s: Scenario) -> list:
             add(node, "gen.B_positive", f"generator {j}: B = {g.B} must be > 0")
         if not (0 < g.p_min <= g.p_max):
             add(node, "gen.box", f"generator {j}: need 0 < p_min <= p_max, got [{g.p_min}, {g.p_max}]")
-        if g.B * g.p_max >= 1:
-            add(node, "gen.loss_bound", f"generator {j}: B*p_max = {g.B * g.p_max} >= 1")
         if 2 * g.B * g.p_max >= 1:
             add(node, "gen.net_monotone", f"generator {j}: 2B*p_max = {2 * g.B * g.p_max} >= 1")
         # lambda_init starts at the price at p_min, the bisection brackets at
@@ -431,8 +442,6 @@ def scenario_from_dict(d: dict) -> Scenario:
     consumers = tuple(ConsumerParams(**c) for c in d["consumers"])
     gd = d["graph"]
     if isinstance(gd, dict) and "preset" in gd:
-        from .presets import ring_digraph  # local import avoids a cycle
-
         if gd["preset"] != "ring4":
             raise ValueError(f"unknown graph preset {gd['preset']!r}")
         if len(generators) + len(consumers) != 4:

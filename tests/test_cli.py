@@ -26,6 +26,22 @@ def table1_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture
+def short_supply_file(tmp_path):
+    """A valid scenario whose demand floor exceeds its maximal net supply:
+    no rule of validate_scenario covers it, but the oracle finds it infeasible."""
+    gen = GeneratorParams(a=0.01, b=1.0, c=0.0, B=1e-6, p_min=1.0, p_max=5.0)
+    con = ConsumerParams(w=10.0, alpha=0.01, p_min=100.0, p_max=200.0)
+    graph = ring_digraph(1, 1)
+    s = Scenario(generators=(gen,), consumers=(con,), graph=graph,
+                 weights=build_uniform_weights(graph),
+                 eta=0.002, eps_m=1e-8, eps_l=1e-8, max_iters=20)
+    assert validate_scenario(s) == []
+    path = tmp_path / "short.json"
+    save_scenario(s, path)
+    return str(path)
+
+
 class TestRunCommand:
     def test_corrected_run_writes_outputs(self, table1_file, tmp_path):
         out = tmp_path / "out"
@@ -75,26 +91,18 @@ class TestRunCommand:
         assert report["implied_price_spread_corrected"] == 0.0
         assert report["implied_prices_disagree"] is False
 
-    def test_demand_floor_above_supply_validates_and_exits_two(self, tmp_path, capsys):
+    def test_demand_floor_above_supply_validates_and_exits_two(self, short_supply_file,
+                                                               tmp_path, capsys):
         # a demand floor no generator output can meet is not a validation
         # rule: run drifts to its cap and solve reports the scenario infeasible
-        gen = GeneratorParams(a=0.01, b=1.0, c=0.0, B=1e-6, p_min=1.0, p_max=5.0)
-        con = ConsumerParams(w=10.0, alpha=0.01, p_min=100.0, p_max=200.0)
-        graph = ring_digraph(1, 1)
-        s = Scenario(generators=(gen,), consumers=(con,), graph=graph,
-                     weights=build_uniform_weights(graph),
-                     eta=0.002, eps_m=1e-8, eps_l=1e-8, max_iters=20)
-        assert validate_scenario(s) == []
-        path = tmp_path / "short.json"
-        save_scenario(s, path)
         out = tmp_path / "out"
-        assert main(["run", "--scenario", str(path), "--variant", "both",
+        assert main(["run", "--scenario", short_supply_file, "--variant", "both",
                      "--output-dir", str(out)]) == 2
         for variant in ("original", "corrected"):
             report = json.loads((out / f"report_{variant}.json").read_text())
             assert (report["terminated"], report["rounds"]) == ("by-max-iters", 20)
         capsys.readouterr()
-        assert main(["solve", "--scenario", str(path)]) == 2
+        assert main(["solve", "--scenario", short_supply_file]) == 2
         assert "infeasible scenario: demand floor" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, tmp_path):
@@ -266,6 +274,10 @@ class TestKktCommand:
         assert err.startswith(f"cannot read candidate {str(cand)!r}: ")
         assert "Traceback" not in err
 
+    def test_no_candidate_and_infeasible_scenario_exits_one(self, short_supply_file, capsys):
+        assert main(["kkt", "--scenario", short_supply_file]) == 1
+        assert capsys.readouterr().err.startswith(
+            "no candidate given and solve failed: demand floor")
 
     def test_unwritable_output_exits_one(self, table1_file, tmp_path, capsys):
         out = tmp_path / "missing" / "k.json"
@@ -327,6 +339,18 @@ class TestCounterexampleCommand:
 
     def test_missing_scenario_file_exits_one(self, tmp_path):
         assert main(["counterexample", "--scenario", str(tmp_path / "nope.json")]) == 1
+
+    def test_infeasible_scenario_exits_one(self, short_supply_file, capsys):
+        assert main(["counterexample", "--scenario", short_supply_file]) == 1
+        assert capsys.readouterr().err.startswith("centralized solve failed: demand floor")
+
+    def test_json_report_gets_a_sidecar_suffix(self, tmp_path):
+        # the sidecar of cx.json would be cx.json itself
+        report = tmp_path / "cx.json"
+        assert main(["counterexample", "--report", str(report)]) == 0
+        assert report.read_text().startswith("counterexample report\n")
+        payload = json.loads((tmp_path / "cx.json.sidecar.json").read_text())
+        assert payload["contradiction_exhibited"] is True
 
     def test_unwritable_report_exits_one(self, tmp_path, capsys):
         report = tmp_path / "missing" / "cx.txt"

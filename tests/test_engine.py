@@ -7,6 +7,7 @@ import pytest
 
 from cemasim import (
     ConsumerParams,
+    Digraph,
     GeneratorParams,
     InvalidScenarioError,
     Scenario,
@@ -14,6 +15,7 @@ from cemasim import (
     build_uniform_weights,
     engine,
     implied_prices,
+    kkt_check,
     lambda_init,
     lambda_step,
     mismatch,
@@ -84,6 +86,10 @@ class TestPowerStep:
     def test_unknown_variant(self, table1):
         with pytest.raises(ValueError):
             power_step(table1, "fixed", np.zeros(4))
+
+    def test_dimension_mismatch(self, table1):
+        with pytest.raises(ValueError, match="dimension mismatch in power_step"):
+            power_step(table1, "corrected", np.zeros(3))
 
 
 class TestSurplusStep:
@@ -277,6 +283,42 @@ class TestRun:
             np.testing.assert_array_equal(a.lam, b.lam)
             np.testing.assert_array_equal(a.P, b.P)
             np.testing.assert_array_equal(a.xi, b.xi)
+
+
+class TestGainStabilityDependsOnMixing:
+    """The stable range of the feedback gain depends on the mixing matrices:
+    at table1's parameters the bundled ring converges at eta = 0.0035 and
+    runs to a 20 000-round cap at 0.006, while another 4-node digraph with
+    uniform weights converges to the optimum at 0.004, 0.006 and 0.009."""
+
+    # self-loops plus (0,3) (1,2) (1,3) (2,0) (2,1) (2,3) (3,2)
+    EDGES = [(0, 0), (1, 1), (2, 2), (3, 3),
+             (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (2, 3), (3, 2)]
+
+    def _digraph_scenario(self, table1, eta):
+        graph = Digraph(n=4, edges=self.EDGES, node_kind=table1.graph.node_kind)
+        return dataclasses.replace(table1, graph=graph, weights=build_uniform_weights(graph),
+                                   eta=eta, max_iters=20000)
+
+    @pytest.mark.parametrize("eta, rounds", [(0.004, 117), (0.006, 98), (0.009, 132)])
+    def test_digraph_converges_to_the_optimum(self, table1, eta, rounds):
+        s = self._digraph_scenario(table1, eta)
+        result = run(s, "corrected", trace_stride=s.max_iters)
+        assert (result.terminated, result.rounds) == (TERMINATED_BY_TOLERANCE, rounds)
+        assert kkt_check(result.final_P, float(result.final_lambda.mean()), s).certified
+        assert np.abs(result.final_P - solve_centralized(s).P).max() <= 1e-7
+
+    def test_digraph_runs_to_the_cap_at_0_012(self, table1):
+        s = self._digraph_scenario(table1, 0.012)
+        result = run(s, "corrected", trace_stride=s.max_iters)
+        assert (result.terminated, result.rounds) == (TERMINATED_BY_MAX_ITERS, 20000)
+
+    @pytest.mark.parametrize("eta, terminated, rounds", [
+        (0.0035, TERMINATED_BY_TOLERANCE, 680), (0.006, TERMINATED_BY_MAX_ITERS, 20000)])
+    def test_bundled_ring(self, eta, terminated, rounds):
+        s = table1_scenario(eta=eta, max_iters=20000)
+        result = run(s, "corrected", trace_stride=s.max_iters)
+        assert (result.terminated, result.rounds) == (terminated, rounds)
 
 
 class TestConservationAndTermination:

@@ -1,5 +1,6 @@
 """Domain model: validation, weights, feasibility, net injection, JSON files."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -152,13 +153,29 @@ def _scenario(gens, cons, **kw):
     )
 
 
+# (rule, field of table1, the changed value) for rules no other test reaches
+RULE_CASES = [
+    ("con.alpha_positive", "consumers",
+     lambda s: (dataclasses.replace(s.consumers[0], alpha=0.0), s.consumers[1])),
+    ("con.box", "consumers",
+     lambda s: (dataclasses.replace(s.consumers[0], p_min=200.0), s.consumers[1])),
+    ("weights.shape", "weights", lambda s: WeightMatrices(W=np.eye(3), Q=np.eye(3))),
+    ("weights.W_nonnegative", "weights",
+     lambda s: WeightMatrices(W=s.weights.W - 0.5 * np.eye(4), Q=s.weights.Q)),
+    ("weights.Q_nonnegative", "weights",
+     lambda s: WeightMatrices(W=s.weights.W, Q=s.weights.Q - 0.5 * np.eye(4))),
+    ("graph.kinds_length", "graph",
+     lambda s: Digraph(n=4, edges=s.graph.edges, node_kind=s.graph.node_kind[:3])),
+]
+
+
 class TestValidateScenario:
     def test_table1_is_valid(self, table1):
         assert validate_scenario(table1) == []
 
     def test_net_monotonicity_bound(self):
-        # B*p_max = 0.9582 < 1 but 2*B*p_max = 1.9164 >= 1: only the second
-        # rule fires
+        # B*p_max = 0.9582 < 1 but 2*B*p_max = 1.9164 >= 1: net injection is
+        # not increasing on the box
         bad = GeneratorParams(a=0.0056, b=4.32, c=25.0, B=0.002, p_min=25.0, p_max=479.10)
         s = _scenario([GEN1, bad], [ConsumerParams(w=18.43, alpha=0.0545, p_min=50.0, p_max=100.34),
                                     ConsumerParams(w=13.17, alpha=0.0877, p_min=100.0, p_max=159.13)])
@@ -182,7 +199,6 @@ class TestValidateScenario:
         assert "graph.strongly_connected" in rules
 
     def test_missing_self_loops_flagged_per_node(self, table1):
-        import dataclasses
         edges = [e for e in table1.graph.edges if e not in ((1, 1), (3, 3))]
         graph = Digraph(n=4, edges=edges, node_kind=table1.graph.node_kind)
         assert graph.missing_self_loops() == [1, 3]
@@ -197,12 +213,10 @@ class TestValidateScenario:
         assert rules == ["gen.B_positive"]
 
     def test_eta_out_of_range(self, table1):
-        import dataclasses
         s = dataclasses.replace(table1, eta=1.5)
         assert [v.rule for v in validate_scenario(s)] == ["scenario.eta"]
 
     def test_weight_stochasticity_violations(self, table1):
-        import dataclasses
         W = table1.weights.W.copy()
         W[0, 0] += 1e-6
         s = dataclasses.replace(table1, weights=WeightMatrices(W=W, Q=table1.weights.Q))
@@ -210,7 +224,6 @@ class TestValidateScenario:
         assert rules == ["weights.W_row_stochastic"]
 
     def test_weight_sparsity_violation(self, table1):
-        import dataclasses
         # ring4 has no edge 2 -> 0; putting mass there must be flagged
         W = table1.weights.W.copy()
         W[0, 2] = W[0, 0]
@@ -231,7 +244,6 @@ class TestValidateScenario:
     @pytest.mark.parametrize("name", ["W", "Q"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_weights_flagged(self, table1, name, bad):
-        import dataclasses
         M = getattr(table1.weights, name).copy()
         M[1, 1] = bad
         weights = WeightMatrices(**{"W": table1.weights.W, "Q": table1.weights.Q, name: M})
@@ -242,7 +254,6 @@ class TestValidateScenario:
 
     @pytest.mark.parametrize("max_iters", [2.5, float("nan"), 0, "10"])
     def test_max_iters_must_be_integer(self, table1, max_iters):
-        import dataclasses
         s = dataclasses.replace(table1, max_iters=max_iters)
         assert [v.rule for v in validate_scenario(s)] == ["scenario.max_iters"]
 
@@ -251,20 +262,17 @@ class TestValidateScenario:
         ("eps_l", None), ("max_iters", True),
     ])
     def test_non_numeric_constants_flagged(self, table1, name, value):
-        import dataclasses
         s = dataclasses.replace(table1, **{name: value})
         assert [v.rule for v in validate_scenario(s)] == [f"scenario.{name}"]
 
     @pytest.mark.parametrize("field", ["a", "b", "c", "B", "p_min", "p_max"])
     def test_bool_generator_parameter_flagged(self, table1, field):
-        import dataclasses
         gen = dataclasses.replace(table1.generators[0], **{field: True})
         s = dataclasses.replace(table1, generators=(gen, table1.generators[1]))
         assert [v.rule for v in validate_scenario(s)] == ["gen.finite"]
 
     @pytest.mark.parametrize("field", ["w", "alpha", "p_min", "p_max"])
     def test_bool_consumer_parameter_flagged(self, table1, field):
-        import dataclasses
         con = dataclasses.replace(table1.consumers[1], **{field: True})
         s = dataclasses.replace(table1, consumers=(table1.consumers[0], con))
         assert [v.rule for v in validate_scenario(s)] == ["con.finite"]
@@ -273,18 +281,22 @@ class TestValidateScenario:
     # bisection bracket at p_max
     @pytest.mark.parametrize("a", [1e308, 1e306])
     def test_overflowing_price_flagged(self, table1, a):
-        import dataclasses
         gen = dataclasses.replace(table1.generators[0], a=a)
         s = dataclasses.replace(table1, generators=(gen, table1.generators[1]))
         assert [(v.node, v.rule) for v in validate_scenario(s)] == [(0, "gen.price_finite")]
 
     def test_count_mismatch_is_a_violation_not_an_error(self, table1):
-        import dataclasses
         s = dataclasses.replace(table1, consumers=table1.consumers[:1])
         rules = {v.rule for v in validate_scenario(s)}
         assert {"scenario.node_count", "scenario.kind_counts"} <= rules
         with pytest.raises(ValueError):
             s.agents
+
+    @pytest.mark.parametrize("rule, field, change", [
+        pytest.param(*case, id=case[0]) for case in RULE_CASES])
+    def test_each_rule_is_reached(self, table1, rule, field, change):
+        s = dataclasses.replace(table1, **{field: change(table1)})
+        assert rule in {v.rule for v in validate_scenario(s)}
 
     def test_ordering_deterministic(self):
         bad_gen = GeneratorParams(a=-1.0, b=5.0, c=1.0, B=0.0, p_min=-2.0, p_max=-3.0)
