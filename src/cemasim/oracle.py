@@ -33,7 +33,7 @@ CERTIFY_TOL = 1e-6  # largest KKT residual that certifies a candidate
 ACTIVE_BOUND_TOL = 1e-7
 MAX_BRACKET_DOUBLINGS = 60
 MAX_BISECT_ITERS = 200
-GRID_CHUNK_ROWS = 128  # rows of generator 0's axis per brute-force chunk
+GRID_CHUNK_POINTS = 2**16  # most brute-force grid points evaluated at once
 GRID_POINT_BUDGET = 10**8  # most brute-force grid points searched in one call
 
 
@@ -256,7 +256,9 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
         float(np.maximum(-upper_slack, 0.0).max(initial=0.0)),
         max(0.0, -lam),
     ]
-    max_residual = max(residuals)
+    # Python's max keeps a NaN only when it comes first; any NaN residual
+    # must make the maximum NaN so that the candidate cannot certify
+    max_residual = math.nan if any(map(math.isnan, residuals)) else max(residuals)
     return KktReport(
         lam=float(lam),
         gamma=gamma,
@@ -349,14 +351,29 @@ def _axis_points(lo: float, hi: float, step: float) -> float:
     return k + 1.0 if lo + step * (k - 1.0) < hi else k
 
 
+def _chunk_sum(axes, rows: range, cols: slice) -> np.ndarray:
+    """Per-generator grid values summed at one chunk's points, in generator
+    order: the leading axes at flat rows `rows` of their product, then the
+    last axis at columns `cols`."""
+    last = axes[-1][cols]
+    if len(axes) == 1:
+        return last[None, :]
+    lead = np.unravel_index(np.arange(rows.start, rows.stop), [len(a) for a in axes[:-1]])
+    total = axes[0][lead[0]]
+    for axis, i in zip(axes[1:-1], lead[1:]):
+        total = total + axis[i]
+    return total[:, None] + last
+
+
 def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceResult:
     """Grid search over generator powers; consumers take the balancing price.
 
     Feasibility keeps net supply >= the consumer demand floor (the relaxed
     balance as an inequality). Returns the best feasible grid point, ties
-    resolved to the lexicographically smallest one. Cost grows with the
+    resolved to the lexicographically smallest one. Time grows with the
     product of the generator grids, so at most 3 generators and
-    GRID_POINT_BUDGET points are accepted, checked before any allocation.
+    GRID_POINT_BUDGET points are accepted, checked before any allocation;
+    memory does not, as at most GRID_CHUNK_POINTS points are evaluated at once.
     """
     if not (1 <= len(scenario.generators) <= 3):
         raise ValueError("brute force supports 1 to 3 generators")
@@ -374,33 +391,40 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     nets = [g.net(grid) for g, grid in zip(scenario.generators, grids)]
     costs = [g.cost(grid) for g, grid in zip(scenario.generators, grids)]
 
+    # a chunk is a contiguous range of C-order flat grid indices: a block of
+    # rows of the flattened leading axes times the whole last axis, or, when
+    # the last axis alone is over the budget, one row times a block of columns
+    n_lead = math.prod(len(g) for g in grids[:-1])
+    n_last = len(grids[-1])
+    rows = max(1, GRID_CHUNK_POINTS // n_last)
+    cols = min(n_last, GRID_CHUNK_POINTS)
+
     # at or above saturated demand d0 the price is 0, so every such point has
     # one consumer value; evaluating it on [d0] gives the same bits
     d0 = demand_knots[0]
     v_sat = _consumer_allocation_value(scenario, np.array([d0]), mu_knots, demand_knots)[0]
     best_val = np.inf
-    best_gen = None
-    for s in range(0, len(grids[0]), GRID_CHUNK_ROWS):
-        # generator k adds the last axis, summed in generator order
-        S = nets[0][s:s + GRID_CHUNK_ROWS]
-        base = costs[0][s:s + GRID_CHUNK_ROWS]
-        for net, cost in zip(nets[1:], costs[1:]):
-            S = S[..., None] + net
-            base = base[..., None] + cost
-        feasible = S >= demand_floor - 1e-12
-        obj = base - v_sat
-        low = feasible & (S < d0)
-        obj[low] = base[low] - _consumer_allocation_value(scenario, S[low], mu_knots, demand_knots)
-        obj[~feasible] = np.inf
-        flat = int(np.argmin(obj))
-        val = float(obj.flat[flat])
-        if val < best_val:
-            idx = np.unravel_index(flat, obj.shape)
-            best_val = val
-            best_gen = [grids[0][s + idx[0]]] + [g[i] for g, i in zip(grids[1:], idx[1:])]
+    best_flat = None
+    for r0 in range(0, n_lead, rows):
+        for c0 in range(0, n_last, cols):
+            chunk = (range(r0, min(r0 + rows, n_lead)), slice(c0, c0 + cols))
+            S = _chunk_sum(nets, *chunk)
+            base = _chunk_sum(costs, *chunk)
+            feasible = S >= demand_floor - 1e-12
+            obj = base - v_sat
+            low = feasible & (S < d0)
+            obj[low] = base[low] - _consumer_allocation_value(scenario, S[low], mu_knots, demand_knots)
+            obj[~feasible] = np.inf
+            flat = int(np.argmin(obj))
+            val = float(obj.flat[flat])
+            if val < best_val:
+                best_val = val
+                best_flat = r0 * n_last + c0 + flat  # the chunk starts at this flat index
 
-    if best_gen is None or not np.isfinite(best_val):
+    if best_flat is None or not np.isfinite(best_val):
         raise InfeasibleScenarioError("no feasible grid point: demand floor exceeds net supply")
+    idx = np.unravel_index(best_flat, [len(g) for g in grids])
+    best_gen = [grid[i] for grid, i in zip(grids, idx)]
 
     # rebuild the full node vector: consumers at the balancing price of the
     # winning supply level

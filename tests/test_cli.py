@@ -255,6 +255,16 @@ class TestKktCommand:
             {"P": [67.646, 139.705, 100.34, 100.0], "lambda": 5.8847}))
         assert main(["kkt", "--scenario", table1_file, "--candidate", str(cand)]) == 2
 
+    def test_nan_candidate_exits_two(self, table1_file, tmp_path):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps({"P": [60.0, 25.0, float("nan"), float("nan")], "lambda": 0.0}))
+        out = tmp_path / "kkt.json"
+        assert main(["kkt", "--scenario", table1_file, "--candidate", str(cand),
+                     "--output", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["max_residual"] != report["max_residual"]  # NaN
+        assert report["certified"] is False
+
     def test_malformed_candidate_exits_one(self, table1_file, tmp_path):
         cand = tmp_path / "cand.json"
         cand.write_text(json.dumps({"P": [1.0, 2.0], "lambda": 5.0}))

@@ -19,8 +19,9 @@ from cemasim import (
     solve_centralized,
     validate_scenario,
 )
+from cemasim import oracle
 from cemasim.oracle import (
-    GRID_CHUNK_ROWS,
+    GRID_CHUNK_POINTS,
     _axis_grid,
     _axis_points,
     _balance,
@@ -182,6 +183,14 @@ class TestKktCheck:
         report = kkt_check(sol.P, -1.0, table1)
         assert report.max_residual >= 1.0
 
+    def test_nan_residual_anywhere_fails_certification(self, table1):
+        # NaN consumer powers leave stationarity at 0.0, so the first NaN
+        # residual is the balance complementarity, not the first entry
+        report = kkt_check(np.array([60.0, 25.0, np.nan, np.nan]), 0.0, table1)
+        assert report.stationarity.tolist() == [0.0] * 4
+        assert np.isnan(report.max_residual)
+        assert not report.certified
+
     def test_serializes_to_json_dict(self, table1):
         import json
 
@@ -305,25 +314,38 @@ def _twin_scenario(gen_p_min=20.0, con_p_max=140.0):
 
 
 class TestBruteForceTies:
-    """Equal objectives resolve to the lexicographically smallest grid point."""
+    """Equal objectives resolve to the lexicographically smallest grid point,
+    within a chunk and across chunks of `budget` points."""
 
     @pytest.mark.parametrize(
-        "gen_p_min, con_p_max, step, expected, rows, split, saturated",
+        "gen_p_min, con_p_max, step, expected, rows, budget, split, saturated",
         [
-            # both points in the first chunk
-            (20.0, 140.0, 0.5, (40.0, 40.5), (40, 41), False, False),
-            # 40.25 is row 127 (first chunk), 40.375 row 128 (second chunk)
-            (24.375, 140.0, 0.125, (40.25, 40.375), (127, 128), True, False),
+            # 561-point axes: both points in the first chunk of 116 rows
+            (20.0, 140.0, 0.5, (40.0, 40.5), (40, 41), GRID_CHUNK_POINTS, False, False),
+            # 2206-point axes in 64-row chunks: 40.25 is row 127 (second
+            # chunk), 40.375 row 128 (third chunk)
+            (24.375, 140.0, 0.125, (40.25, 40.375), (127, 128), 64 * 2206, True, False),
             # consumer capped at 70 MW: the tie lies at supply >= saturated demand
-            (20.0, 70.0, 0.5, (35.0, 35.5), (30, 31), False, True),
+            (20.0, 70.0, 0.5, (35.0, 35.5), (30, 31), GRID_CHUNK_POINTS, False, True),
+            # 41-row chunks: row 40 ends the first chunk, row 41 starts the second
+            (20.0, 140.0, 0.5, (40.0, 40.5), (40, 41), 41 * 561, True, False),
+            # 500-column chunks: the last axis is split, one row per chunk
+            (20.0, 140.0, 0.5, (40.0, 40.5), (40, 41), 500, True, False),
+            (20.0, 70.0, 0.5, (35.0, 35.5), (30, 31), 500, True, True),
         ],
     )
-    def test_tied_points_resolve_to_smallest(self, gen_p_min, con_p_max, step, expected, rows, split, saturated):
+    def test_tied_points_resolve_to_smallest(self, monkeypatch, gen_p_min, con_p_max, step, expected,
+                                             rows, budget, split, saturated):
         s = _twin_scenario(gen_p_min, con_p_max)
         assert validate_scenario(s) == []
         grid = _axis_grid(gen_p_min, 300.0, step)
         assert (grid[rows[0]], grid[rows[1]]) == expected
-        assert (rows[0] // GRID_CHUNK_ROWS != rows[1] // GRID_CHUNK_ROWS) == split
+        # the tie is (rows[0], rows[1]) against its mirror (rows[1], rows[0]);
+        # a chunk is a block of whole rows, or of columns of one row
+        n = len(grid)
+        chunk_rows, chunk_cols = max(1, budget // n), min(n, budget)
+        chunks = [(r // chunk_rows, c // chunk_cols) for r, c in (rows, rows[::-1])]
+        assert (chunks[0] != chunks[1]) == split
         mu_knots, demand_knots = _demand_curve(s)
         g = s.generators[0]
         x, y = expected
@@ -332,6 +354,7 @@ class TestBruteForceTies:
         obj = base - _consumer_allocation_value(s, S, mu_knots, demand_knots)
         assert obj[0] == obj[1]
         assert bool(S[0] >= demand_knots[0]) == saturated
+        monkeypatch.setattr(oracle, "GRID_CHUNK_POINTS", budget)
         bf = brute_force_reference(s, step)
         assert tuple(bf.P[list(s.generator_nodes)]) == expected
         assert bf.objective == obj[0]

@@ -1,5 +1,8 @@
 """Property test: the brute-force grid against a full evaluation of every point."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,33 +14,54 @@ from cemasim import (
     InfeasibleScenarioError,
     brute_force_reference,
     consumer_response,
+    oracle,
 )
-from cemasim.oracle import GRID_CHUNK_ROWS, _axis_grid, _consumer_allocation_value, _demand_curve
+from cemasim.oracle import GRID_CHUNK_POINTS, _axis_grid, _consumer_allocation_value, _demand_curve
 from test_oracle import _scenario
+
+FULL_BLOCK_POINTS = 2**20  # grid points the reference evaluates at once
 
 
 def _full_evaluation(scenario, grid_step):
     """The grid search with the consumer value evaluated at every point.
 
-    Returns (P, objective, argmin at or above saturated demand, some
-    chunk of GRID_CHUNK_ROWS rows wholly infeasible), or None when no point
-    is feasible.
+    The grid is a matrix of the flattened leading axes by the last axis,
+    evaluated a block of rows at a time with ties to the first point.
+    Returns (P, objective, argmin at or above saturated demand, feasibility
+    matrix), or None when no point is feasible.
     """
     mu_knots, demand_knots = _demand_curve(scenario)
     floor = sum(c.p_min for c in scenario.consumers)
     gens = scenario.generators
     grids = [_axis_grid(g.p_min, g.p_max, grid_step) for g in gens]
-    S = gens[0].net(grids[0])
-    base = gens[0].cost(grids[0])
-    for g, grid in zip(gens[1:], grids[1:]):
-        S = S[..., None] + g.net(grid)
-        base = base[..., None] + g.cost(grid)
-    feasible = S >= floor - 1e-12
-    obj = np.where(feasible, base - _consumer_allocation_value(scenario, S, mu_knots, demand_knots), np.inf)
-    flat = int(np.argmin(obj))
-    if not np.isfinite(obj.flat[flat]):
+    if len(gens) == 1:
+        S_lead = base_lead = None
+    else:
+        S_lead = gens[0].net(grids[0])
+        base_lead = gens[0].cost(grids[0])
+        for g, grid in zip(gens[1:-1], grids[1:-1]):
+            S_lead = (S_lead[:, None] + g.net(grid)).ravel()
+            base_lead = (base_lead[:, None] + g.cost(grid)).ravel()
+    last, n_last = gens[-1], len(grids[-1])
+    n_lead = math.prod(len(grid) for grid in grids[:-1])
+    feasible = np.empty((n_lead, n_last), dtype=bool)
+    best_val, best_flat = np.inf, None
+    block = max(1, FULL_BLOCK_POINTS // n_last)
+    for r0 in range(0, n_lead, block):
+        if S_lead is None:
+            S, base = last.net(grids[-1])[None, :], last.cost(grids[-1])[None, :]
+        else:
+            S = S_lead[r0:r0 + block, None] + last.net(grids[-1])
+            base = base_lead[r0:r0 + block, None] + last.cost(grids[-1])
+        ok = S >= floor - 1e-12
+        feasible[r0:r0 + block] = ok
+        obj = np.where(ok, base - _consumer_allocation_value(scenario, S, mu_knots, demand_knots), np.inf)
+        flat = int(np.argmin(obj))
+        if obj.flat[flat] < best_val:
+            best_val, best_flat = float(obj.flat[flat]), r0 * n_last + flat
+    if best_flat is None:
         return None
-    idx = np.unravel_index(flat, obj.shape)
+    idx = np.unravel_index(best_flat, [len(grid) for grid in grids])
     best_gen = [grid[i] for grid, i in zip(grids, idx)]
     S_best = sum(g.net(x) for g, x in zip(gens, best_gen))
     d0 = demand_knots[0]
@@ -45,26 +69,35 @@ def _full_evaluation(scenario, grid_step):
     P = np.empty(scenario.n_nodes)
     P[list(scenario.generator_nodes)] = best_gen
     P[list(scenario.consumer_nodes)] = [consumer_response(c, mu) for c in scenario.consumers]
-    empty_chunk = any(not feasible[s:s + GRID_CHUNK_ROWS].any() for s in range(0, len(grids[0]), GRID_CHUNK_ROWS))
-    return P, float(obj.flat[flat]), bool(S.flat[flat] >= d0), empty_chunk
+    return P, best_val, bool(S_best >= d0), feasible
+
+
+def _chunks(n_lead, n_last, budget):
+    """(rows, cols) slices of the grid matrix, one per chunk of at most
+    `budget` points: whole rows while the last axis fits, else column blocks."""
+    rows, cols = max(1, budget // n_last), min(n_last, budget)
+    return [(slice(r, r + rows), slice(c, c + cols))
+            for r in range(0, n_lead, rows) for c in range(0, n_last, cols)]
 
 
 @st.composite
 def _grid_cases(draw):
-    """A 1-3 generator scenario and a step giving at most about 25k grid points.
+    """A 1-3 generator scenario, a step giving at most about 25k grid points,
+    and a chunk budget of 7 or 64 points or the default.
 
-    Generator 0's axis may run past two 128-row chunks, and the demand floor
-    is a drawn point of the net supply range, so leading chunks can be
-    wholly infeasible; low marginal costs or high generator floors put the
-    optimum at or above saturated demand.
+    The last axis may be longer than a small budget (column blocks) or
+    shorter (blocks of rows), and the demand floor is a drawn point of the
+    net supply range, so leading chunks can be wholly infeasible; low
+    marginal costs or high generator floors put the optimum at or above
+    saturated demand.
     """
     n_gen = draw(st.integers(1, 3))
     step = draw(st.floats(0.05, 2.0))
+    budget = draw(st.sampled_from([7, 64, GRID_CHUNK_POINTS]))
     gens = []
     for k in range(n_gen):
         if k == 0:
-            rows = draw(st.integers(2 * GRID_CHUNK_ROWS, [600, 400, 300][n_gen - 1])
-                        if draw(st.booleans()) else st.integers(0, GRID_CHUNK_ROWS))
+            rows = draw(st.integers(0, [600, 400, 300][n_gen - 1]))
         else:
             rows = draw(st.integers(0, [30, 8][n_gen - 2]))
         p_min = draw(st.floats(0.0, 80.0))
@@ -89,31 +122,64 @@ def _grid_cases(draw):
             p_min=p_min,
             p_max=p_min + draw(st.floats(0.0, 150.0)),
         ))
-    return _scenario(gens, cons), step
+    return _scenario(gens, cons), step, budget
 
 
 class TestBruteForceProperty:
-    def test_matches_full_evaluation(self):
+    def test_matches_full_evaluation(self, monkeypatch):
         seen = set()
 
         @settings(derandomize=True, max_examples=150, database=None, deadline=None)
         @given(case=_grid_cases())
         def check(case):
-            s, step = case
+            s, step, budget = case
+            monkeypatch.setattr(oracle, "GRID_CHUNK_POINTS", budget)
             ref = _full_evaluation(s, step)
             if ref is None:
                 with pytest.raises(InfeasibleScenarioError):
                     brute_force_reference(s, step)
                 return
-            P, objective, saturated, empty_chunk = ref
+            P, objective, saturated, feasible = ref
             bf = brute_force_reference(s, step)
             assert np.float64(bf.objective).tobytes() == np.float64(objective).tobytes()
             assert bf.P.tobytes() == P.tobytes()
+            chunks = _chunks(*feasible.shape, budget)
             seen.add(("generators", len(s.generators)))
             seen.add(("saturated", saturated))
-            if empty_chunk:
+            if len(chunks) > 1:
+                seen.add("multi-chunk")
+            if feasible.shape[1] > budget:
+                seen.add("column split")
+            if any(not feasible[chunk].any() for chunk in chunks):
                 seen.add("empty chunk")
 
         check()
         assert seen >= {("generators", 1), ("generators", 2), ("generators", 3),
-                        ("saturated", False), ("saturated", True), "empty chunk"}
+                        ("saturated", False), ("saturated", True),
+                        "multi-chunk", "column split", "empty chunk"}
+
+
+class TestBruteForceMemory:
+    def test_one_point_leading_axis_stays_within_chunk_budget(self):
+        # generator 0 at p_min = p_max: a 1 x 3001 x 3001 grid, which whole
+        # would take hundreds of MB of temporaries
+        gens = [
+            GeneratorParams(a=0.004, b=5.0, c=20.0, B=2e-4, p_min=50.0, p_max=50.0),
+            GeneratorParams(a=0.002, b=3.0, c=5.0, B=1e-4, p_min=10.0, p_max=310.0),
+            GeneratorParams(a=0.006, b=4.0, c=0.0, B=3e-4, p_min=20.0, p_max=320.0),
+        ]
+        cons = [ConsumerParams(w=15.0, alpha=0.02, p_min=150.0, p_max=400.0)]
+        s = _scenario(gens, cons)
+        step = 0.1
+        assert [len(_axis_grid(g.p_min, g.p_max, step)) for g in gens] == [1, 3001, 3001]
+        tracemalloc.start()
+        try:
+            bf = brute_force_reference(s, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        P, objective, saturated, feasible = _full_evaluation(s, step)
+        assert not feasible.all() and not saturated
+        assert np.float64(bf.objective).tobytes() == np.float64(objective).tobytes()
+        assert bf.P.tobytes() == P.tobytes()
