@@ -20,7 +20,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from .scenario import (
     Scenario,
     json_text,
     load_scenario,
+    real_array,
     save_scenario,
     validate_scenario,
 )
@@ -49,27 +52,51 @@ EXIT_NOT_CONVERGED = 2
 EXIT_NO_CONTRADICTION = 3
 
 
-def _fail(msg: str) -> int:
-    print(msg, file=sys.stderr)
-    return EXIT_BAD_INPUT
+class BadInput(Exception):
+    """Input a command cannot use: `main` prints the message to stderr and
+    returns EXIT_BAD_INPUT."""
 
 
-def _load(path: str):
-    """Returns (scenario, None) or (None, exit_code)."""
+@contextmanager
+def _bad_input(errors, prefix: str):
+    """Reraises any of `errors` raised inside as BadInput(prefix + message)."""
     try:
-        scenario = load_scenario(path)
-    except READ_ERRORS as exc:
-        return None, _fail(f"cannot read scenario {path!r}: {exc}")
-    violations = validate_scenario(scenario)
+        yield
+    except errors as exc:
+        raise BadInput(f"{prefix}{exc}") from exc
+
+
+def _writing(path: str):
+    """Reports an OSError raised inside as `cannot write <path>: …`."""
+    return _bad_input(OSError, f"cannot write {path!r}: ")
+
+
+def _read_scenario(path: str) -> Scenario:
+    with _bad_input(READ_ERRORS, f"cannot read scenario {path!r}: "):
+        return load_scenario(path)
+
+
+def _read_candidate(path: str) -> tuple:
+    """(P, lambda) of a candidate file {"P": [...], "lambda": x}, whose numbers
+    follow the type rule of scenario files."""
+    with _bad_input(READ_ERRORS, f"cannot read candidate {path!r}: "):
+        with open(path) as f:
+            cand = json.load(f)
+        return real_array(cand["P"], "P", 1), float(real_array(cand["lambda"], "lambda", 0))
+
+
+def _reject(violations) -> None:
+    """Raises BadInput with one line per violation, if there are any."""
     if violations:
-        return None, _invalid(violations)
-    return scenario, None
+        raise BadInput("\n".join(
+            f"invalid scenario: node={v.node} rule={v.rule}: {v.message}" for v in violations))
 
 
-def _invalid(violations) -> int:
-    for v in violations:
-        print(f"invalid scenario: node={v.node} rule={v.rule}: {v.message}", file=sys.stderr)
-    return EXIT_BAD_INPUT
+def _load(path: str) -> Scenario:
+    """The scenario in file `path`, which must validate."""
+    scenario = _read_scenario(path)
+    _reject(validate_scenario(scenario))
+    return scenario
 
 
 def _implied_prices(scenario: Scenario, P_gen: np.ndarray) -> dict:
@@ -116,10 +143,8 @@ def _run_summary(scenario: Scenario, result: engine.RunResult) -> dict:
 
 def cmd_run(args) -> int:
     if args.trace_stride < 1:
-        return _fail("--trace-stride must be >= 1")
-    scenario, err = _load(args.scenario)
-    if scenario is None:
-        return err
+        raise BadInput("--trace-stride must be >= 1")
+    scenario = _load(args.scenario)
     overrides = {}
     for name in ("eta", "eps_m", "eps_l", "max_iters"):
         value = getattr(args, name)
@@ -129,26 +154,20 @@ def cmd_run(args) -> int:
         scenario = dataclasses.replace(scenario, **overrides)
         violations = validate_scenario(scenario)
         if violations:
-            for v in violations:
-                print(f"invalid override: {v.message}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            raise BadInput("\n".join(f"invalid override: {v.message}" for v in violations))
 
     out_dir = Path(args.output_dir)
-    try:
+    with _writing(args.output_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(f"cannot write {args.output_dir!r}: {exc}")
     variants = engine.VARIANTS if args.variant == "both" else (args.variant,)
     status = EXIT_OK
     for variant in variants:
         result = engine.run(scenario, variant, trace_stride=args.trace_stride)
         summary = _run_summary(scenario, result)
-        try:
+        with _writing(args.output_dir):
             engine.write_trace_csv(result, scenario, out_dir / f"trace_{variant}.csv")
             engine.write_round_summary_csv(result, out_dir / f"rounds_{variant}.csv")
             (out_dir / f"report_{variant}.json").write_text(json_text(summary))
-        except OSError as exc:
-            return _fail(f"cannot write {args.output_dir!r}: {exc}")
         print(
             f"[{variant}] terminated={summary['terminated']} rounds={summary['rounds']} "
             f"mismatch={summary['mismatch']:.3e} lambda_spread={summary['lambda_spread']:.3e}"
@@ -167,9 +186,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    scenario, err = _load(args.scenario)
-    if scenario is None:
-        return err
+    scenario = _load(args.scenario)
     try:
         sol = oracle.solve_centralized(scenario)
     except oracle.InfeasibleScenarioError as exc:
@@ -190,36 +207,24 @@ def cmd_solve(args) -> int:
 
 
 def cmd_kkt(args) -> int:
-    scenario, err = _load(args.scenario)
-    if scenario is None:
-        return err
+    # NaN would certify nothing and print as invalid JSON, inf everything
+    if not 0 <= args.tol < math.inf:
+        raise BadInput("--tol must be a finite number >= 0")
+    scenario = _load(args.scenario)
     if args.candidate:
-        try:
-            with open(args.candidate) as f:
-                cand = json.load(f)
-            P = np.asarray(cand["P"], dtype=float)
-            lam = float(cand["lambda"])
-        except READ_ERRORS as exc:
-            return _fail(f"cannot read candidate {args.candidate!r}: {exc}")
-        if P.ndim != 1:
-            return _fail(f"cannot read candidate {args.candidate!r}: P has shape {P.shape}")
+        P, lam = _read_candidate(args.candidate)
         if P.size != scenario.n_nodes:
-            return _fail(
-                f"candidate has {P.size} powers for {scenario.n_nodes} nodes"
-            )
+            raise BadInput(f"candidate has {P.size} powers for {scenario.n_nodes} nodes")
     else:
-        try:
+        with _bad_input((oracle.InfeasibleScenarioError, oracle.BracketError),
+                        "no candidate given and solve failed: "):
             sol = oracle.solve_centralized(scenario)
-        except (oracle.InfeasibleScenarioError, oracle.BracketError) as exc:
-            return _fail(f"no candidate given and solve failed: {exc}")
         P, lam = sol.P, sol.lam
     report = oracle.kkt_check(P, lam, scenario, tol=args.tol)
     text = json_text(report.to_dict())
     if args.output:
-        try:
+        with _writing(args.output):
             Path(args.output).write_text(text)
-        except OSError as exc:
-            return _fail(f"cannot write {args.output!r}: {exc}")
     else:
         print(text, end="")
     return EXIT_OK if report.certified else EXIT_NOT_CONVERGED
@@ -313,27 +318,20 @@ def _counterexample_text(payload: dict) -> str:
 
 
 def cmd_counterexample(args) -> int:
-    if args.scenario:
-        try:
-            scenario = load_scenario(args.scenario)
-        except READ_ERRORS as exc:
-            return _fail(f"cannot read scenario {args.scenario!r}: {exc}")
-    else:
-        scenario = table1_scenario()
+    scenario = _read_scenario(args.scenario) if args.scenario else table1_scenario()
 
     # with no transmission losses anywhere the two updates are identical and
     # there is nothing to contradict; B = 0 is then the one violation let pass
     violations = validate_scenario(scenario)
     lossless = all(g.B == 0 for g in scenario.generators)
-    if violations and not (lossless and all(v.rule == "gen.B_positive" for v in violations)):
-        return _invalid(violations)
+    if not (lossless and all(v.rule == "gen.B_positive" for v in violations)):
+        _reject(violations)
     if lossless:
         payload, status = {"coincide": True}, EXIT_NO_CONTRADICTION
     else:
-        try:
+        with _bad_input((oracle.InfeasibleScenarioError, oracle.BracketError),
+                        "centralized solve failed: "):
             payload, status = _counterexample_payload(scenario)
-        except (oracle.InfeasibleScenarioError, oracle.BracketError) as exc:
-            return _fail(f"centralized solve failed: {exc}")
 
     if args.scenario is None:
         # the builtin benchmark carries a published two-decimal dispatch;
@@ -349,11 +347,9 @@ def cmd_counterexample(args) -> int:
         sidecar = path.with_suffix(".json")
         if sidecar == path:
             sidecar = path.with_name(path.name + ".sidecar.json")
-        try:
+        with _writing(args.report):
             path.write_text(text)
             sidecar.write_text(json_text(payload))
-        except OSError as exc:
-            return _fail(f"cannot write {args.report!r}: {exc}")
     else:
         print(text, end="")
     if status == EXIT_NOT_CONVERGED:
@@ -362,14 +358,10 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_gen_scenario(args) -> int:
-    try:
+    with _bad_input((ValueError, RuntimeError), ""):
         scenario = random_scenario(args.seed, args.generators, args.consumers)
-    except (ValueError, RuntimeError) as exc:
-        return _fail(str(exc))
-    try:
+    with _writing(args.output):
         save_scenario(scenario, args.output)
-    except OSError as exc:
-        return _fail(f"cannot write {args.output!r}: {exc}")
     print(f"wrote scenario with {args.generators} generators / {args.consumers} consumers "
           f"(eta = {scenario.eta:.6g}) to {args.output}")
     return EXIT_OK
@@ -423,7 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadInput as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 def entry_point() -> None:

@@ -338,30 +338,38 @@ def _consumer_allocation_value(scenario: Scenario, S: np.ndarray, mu_knots, dema
     return value
 
 
-def _axis_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    g = lo + step * np.arange(int(np.floor((hi - lo) / step)) + 1)
-    if g[-1] < hi:
-        g = np.append(g, hi)
-    return g
+def _axis_steps(lo: float, hi: float, step: float) -> float:
+    """The axis from lo to hi is lo + step*i for i below this count, then hi
+    when those points fall short of it; inf past float range."""
+    return np.floor((hi - lo) / step) + 1.0
 
 
 def _axis_points(lo: float, hi: float, step: float) -> float:
-    """len(_axis_grid(lo, hi, step)) without building the axis; inf past float range."""
-    k = np.floor((hi - lo) / step) + 1.0
+    """The axis's point count, without building the axis; inf past float range."""
+    k = _axis_steps(lo, hi, step)
     return k + 1.0 if lo + step * (k - 1.0) < hi else k
 
 
-def _chunk_sum(axes, rows: range, cols: slice) -> np.ndarray:
-    """Per-generator grid values summed at one chunk's points, in generator
-    order: the leading axes at flat rows `rows` of their product, then the
-    last axis at columns `cols`."""
-    last = axes[-1][cols]
-    if len(axes) == 1:
+def _axis_values(lo: float, hi: float, step: float, i: np.ndarray) -> np.ndarray:
+    """The axis's points at indices i, without building the axis."""
+    return np.where(i < _axis_steps(lo, hi, step), lo + step * i, hi)
+
+
+def _grid_values(g: GeneratorParams, step: float, i: np.ndarray) -> tuple:
+    """(net, cost) of generator g at points i of its axis."""
+    x = _axis_values(g.p_min, g.p_max, step, i)
+    return g.net(x), g.cost(x)
+
+
+def _chunk_sum(lead: list, last: np.ndarray) -> np.ndarray:
+    """One quantity (net or cost) at one chunk's points: its values on the
+    leading axes at the chunk's rows, summed in generator order, plus its
+    values on the last axis at the chunk's columns."""
+    if not lead:
         return last[None, :]
-    lead = np.unravel_index(np.arange(rows.start, rows.stop), [len(a) for a in axes[:-1]])
-    total = axes[0][lead[0]]
-    for axis, i in zip(axes[1:-1], lead[1:]):
-        total = total + axis[i]
+    total = lead[0]
+    for values in lead[1:]:
+        total = total + values
     return total[:, None] + last
 
 
@@ -373,31 +381,36 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     resolved to the lexicographically smallest one. Time grows with the
     product of the generator grids, so at most 3 generators and
     GRID_POINT_BUDGET points are accepted, checked before any allocation;
-    memory does not, as at most GRID_CHUNK_POINTS points are evaluated at once.
+    memory does not: at most GRID_CHUNK_POINTS points are evaluated at once,
+    and no axis is built whole.
     """
     if not (1 <= len(scenario.generators) <= 3):
         raise ValueError("brute force supports 1 to 3 generators")
     if (isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real)
             or not (math.isfinite(grid_step) and grid_step > 0)):
         raise ValueError("grid_step must be a positive finite number")
-    points = math.prod(_axis_points(g.p_min, g.p_max, grid_step) for g in scenario.generators)
+    gens = scenario.generators
+    counts = [_axis_points(g.p_min, g.p_max, grid_step) for g in gens]
+    points = math.prod(counts)
     if not points <= GRID_POINT_BUDGET:
         raise ValueError(f"grid_step {grid_step} gives {points:.4g} grid points, "
                          f"above the budget of {GRID_POINT_BUDGET:.4g}")
+    shape = [int(n) for n in counts]
 
     mu_knots, demand_knots = _demand_curve(scenario)
     demand_floor = sum(c.p_min for c in scenario.consumers)
-    grids = [_axis_grid(g.p_min, g.p_max, grid_step) for g in scenario.generators]
-    nets = [g.net(grid) for g, grid in zip(scenario.generators, grids)]
-    costs = [g.cost(grid) for g, grid in zip(scenario.generators, grids)]
 
     # a chunk is a contiguous range of C-order flat grid indices: a block of
     # rows of the flattened leading axes times the whole last axis, or, when
     # the last axis alone is over the budget, one row times a block of columns
-    n_lead = math.prod(len(g) for g in grids[:-1])
-    n_last = len(grids[-1])
+    n_lead = math.prod(shape[:-1])
+    n_last = shape[-1]
     rows = max(1, GRID_CHUNK_POINTS // n_last)
     cols = min(n_last, GRID_CHUNK_POINTS)
+    # each axis's (net, cost) is tabulated once when the axis fits a chunk,
+    # and evaluated per chunk at the chunk's indices when it does not
+    tables = [_grid_values(g, grid_step, np.arange(n)) if n <= GRID_CHUNK_POINTS else None
+              for g, n in zip(gens, shape)]
 
     # at or above saturated demand d0 the price is 0, so every such point has
     # one consumer value; evaluating it on [d0] gives the same bits
@@ -406,10 +419,18 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     best_val = np.inf
     best_flat = None
     for r0 in range(0, n_lead, rows):
+        # one generator: one row and no leading axis
+        lead_idx = np.unravel_index(np.arange(r0, min(r0 + rows, n_lead)), shape[:-1] or [1])
+        lead = [(t[0][i], t[1][i]) if t else _grid_values(g, grid_step, i)
+                for g, t, i in zip(gens[:-1], tables, lead_idx)]
         for c0 in range(0, n_last, cols):
-            chunk = (range(r0, min(r0 + rows, n_lead)), slice(c0, c0 + cols))
-            S = _chunk_sum(nets, *chunk)
-            base = _chunk_sum(costs, *chunk)
+            # a tabulated last axis fits a chunk, so it spans the chunk's columns
+            last = tables[-1] or _grid_values(gens[-1], grid_step, np.arange(c0, min(c0 + cols, n_last)))
+            # one statement each, so the previous chunk's S is freed before
+            # base is built: building both first made glibc trim and refault
+            # the heap every chunk (0.35 -> 0.5 s on table1 at step 0.05)
+            S = _chunk_sum([net for net, _ in lead], last[0])
+            base = _chunk_sum([cost for _, cost in lead], last[1])
             feasible = S >= demand_floor - 1e-12
             obj = base - v_sat
             low = feasible & (S < d0)
@@ -423,8 +444,8 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
 
     if best_flat is None or not np.isfinite(best_val):
         raise InfeasibleScenarioError("no feasible grid point: demand floor exceeds net supply")
-    idx = np.unravel_index(best_flat, [len(g) for g in grids])
-    best_gen = [grid[i] for grid, i in zip(grids, idx)]
+    idx = np.unravel_index(best_flat, shape)
+    best_gen = [float(_axis_values(g.p_min, g.p_max, grid_step, i)) for g, i in zip(gens, idx)]
 
     # rebuild the full node vector: consumers at the balancing price of the
     # winning supply level

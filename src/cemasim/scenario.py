@@ -15,6 +15,7 @@ import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Union
 
 import numpy as np
@@ -135,18 +136,22 @@ class Digraph:
         return True
 
 
-def _real_matrix(rows, name: str) -> np.ndarray:
-    """Nested rows of ints and floats, or an int or float array, as a new float
-    array; raises ValueError on any other entry or dtype, bool included
-    (np.array(dtype=float) would load "0.5" and True)."""
-    if isinstance(rows, np.ndarray):
-        bad = set() if rows.dtype.kind in "iuf" else {rows.dtype.name}
+def real_array(values, name: str, ndim: int) -> np.ndarray:
+    """Ints and floats nested `ndim` lists deep (a bare number at 0), or an
+    int or float array, as a new float array; raises ValueError on any other
+    entry or dtype, bool included (np.array(dtype=float) would load "0.5"
+    and True), and on a list where a number belongs."""
+    if isinstance(values, np.ndarray):
+        bad = set() if values.dtype.kind in "iuf" else {values.dtype.name}
     else:
-        bad = {t.__name__ for t in {type(x) for row in rows for x in row}
+        entries = [values]
+        for _ in range(ndim):
+            entries = chain.from_iterable(entries)
+        bad = {t.__name__ for t in set(map(type, entries))
                if issubclass(t, bool) or not issubclass(t, numbers.Real)}
     if bad:
         raise ValueError(f"{name} has non-numeric entries of type {', '.join(sorted(bad))}")
-    return np.array(rows, dtype=float)
+    return np.array(values, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,7 +168,7 @@ class WeightMatrices:
     def __post_init__(self):
         # copies marked read-only: scenarios are shareable across threads
         for name in ("W", "Q"):
-            arr = _real_matrix(getattr(self, name), name)
+            arr = real_array(getattr(self, name), name, 2)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -176,6 +176,15 @@ class TestRunCommand:
         assert main(["run", "--scenario", table1_file, "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"cannot write {str(out)!r}: ")
 
+    def test_unwritable_trace_file_exits_one_without_traceback(self, table1_file, tmp_path,
+                                                              capsys):
+        # the directory exists, so the failure is the first write in the loop
+        (tmp_path / "trace_corrected.csv").mkdir()
+        assert main(["run", "--scenario", table1_file, "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {str(tmp_path)!r}: [Errno 21] ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--eta", "5", "eta = 5.0 must satisfy 0 < eta < 1"),
         ("--eps-m", "0", "eps_m = 0.0 must be > 0"),
@@ -283,6 +292,40 @@ class TestKktCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"cannot read candidate {str(cand)!r}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, entry", [
+        ("lambda", str), ("P", str), ("lambda", lambda x: True), ("P", lambda x: None),
+    ], ids=["string-lambda", "string-P", "true-lambda", "null-P"])
+    def test_non_numeric_candidate_entries_exit_one_without_traceback(
+            self, table1_file, tmp_path, capsys, key, entry):
+        # candidate files follow the type rule of scenario files: the optimum
+        # certifies, and one entry of it in another JSON type is bad input
+        from cemasim import solve_centralized
+
+        sol = solve_centralized(load_scenario(table1_file))
+        cand = tmp_path / "cand.json"
+        content = {"P": sol.P.tolist(), "lambda": sol.lam}
+        cand.write_text(json.dumps(content))
+        assert main(["kkt", "--scenario", table1_file, "--candidate", str(cand)]) == 0
+        if key == "P":
+            content["P"][2] = entry(content["P"][2])
+        else:
+            content["lambda"] = entry(content["lambda"])
+        cand.write_text(json.dumps(content))
+        capsys.readouterr()
+        assert main(["kkt", "--scenario", table1_file, "--candidate", str(cand)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot read candidate {str(cand)!r}: {key} has ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    def test_tol_outside_finite_non_negative_exits_one(self, table1_file, tmp_path, capsys, tol):
+        # NaN would echo as invalid JSON and certify nothing, inf certify anything
+        out = tmp_path / "kkt.json"
+        assert main(["kkt", "--scenario", table1_file, f"--tol={tol}", "--output", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["--tol must be a finite number >= 0"]
+        assert not out.exists()
 
     def test_no_candidate_and_infeasible_scenario_exits_one(self, short_supply_file, capsys):
         assert main(["kkt", "--scenario", short_supply_file]) == 1

@@ -22,13 +22,23 @@ from cemasim import (
 from cemasim import oracle
 from cemasim.oracle import (
     GRID_CHUNK_POINTS,
-    _axis_grid,
     _axis_points,
+    _axis_values,
     _balance,
     _consumer_allocation_value,
     _demand_curve,
 )
 from cemasim.presets import random_scenario, ring_digraph
+
+
+def _axis_grid(lo, hi, step):
+    """The brute-force axis built whole, the reference for _axis_points and
+    _axis_values: lo + step*i for i up to floor((hi - lo)/step), then hi
+    when those points fall short of it."""
+    g = lo + step * np.arange(int(np.floor((hi - lo) / step)) + 1)
+    if g[-1] < hi:
+        g = np.append(g, hi)
+    return g
 
 
 def _scenario(gens, cons, **kw):
@@ -284,7 +294,9 @@ class TestBruteForceReference:
         (60.0, 339.69, 0.05), (0.0, 1.0, 1e-3), (0.1, 0.7, 0.2),
     ])
     def test_axis_points_counts_axis_grid(self, lo, hi, step):
-        assert _axis_points(lo, hi, step) == len(_axis_grid(lo, hi, step))
+        grid = _axis_grid(lo, hi, step)
+        assert _axis_points(lo, hi, step) == len(grid)
+        assert _axis_values(lo, hi, step, np.arange(len(grid))).tobytes() == grid.tobytes()
 
     @pytest.mark.parametrize("step", [1e-4, 1e-9, 5e-324])
     def test_rejects_grid_above_point_budget(self, table1, step):

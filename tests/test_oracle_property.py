@@ -16,8 +16,9 @@ from cemasim import (
     consumer_response,
     oracle,
 )
-from cemasim.oracle import GRID_CHUNK_POINTS, _axis_grid, _consumer_allocation_value, _demand_curve
-from test_oracle import _scenario
+from cemasim.oracle import GRID_CHUNK_POINTS, _axis_points, _consumer_allocation_value, _demand_curve
+from cemasim.presets import random_scenario
+from test_oracle import _axis_grid, _scenario
 
 FULL_BLOCK_POINTS = 2**20  # grid points the reference evaluates at once
 
@@ -183,3 +184,22 @@ class TestBruteForceMemory:
         assert not feasible.all() and not saturated
         assert np.float64(bf.objective).tobytes() == np.float64(objective).tobytes()
         assert bf.P.tobytes() == P.tobytes()
+
+    def test_long_single_axis_stays_within_chunk_budget(self):
+        # one generator on a 4e6-step axis: its values, net and cost built
+        # whole would take about 100 MB
+        s = random_scenario(0, 1, 2)
+        g = s.generators[0]
+        step = (g.p_max - g.p_min) / 4e6
+        assert _axis_points(g.p_min, g.p_max, step) == 4_000_001
+        tracemalloc.start()
+        try:
+            bf = brute_force_reference(s, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        # the bits the search gave with the whole axis built
+        assert [x.hex() for x in bf.P.tolist()] == [
+            "0x1.80e7f9cb34744p+7", "0x1.49dbb87b78e60p+6", "0x1.847061fc85a84p+6"]
+        assert bf.objective.hex() == "-0x1.7382de6a60b22p+8"
