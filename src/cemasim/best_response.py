@@ -64,11 +64,49 @@ def consumer_response(p: ConsumerParams, lam: float) -> float:
     return _clip((p.w - lam) / (2.0 * p.alpha), p.p_min, p.p_max)
 
 
+def _require_price(lam) -> None:
+    # NaN fails both tests; initial=0.0 changes neither and lets an empty
+    # price array through
+    lo, hi = (lam, lam) if isinstance(lam, float) else (
+        np.min(lam, initial=0.0), np.max(lam, initial=0.0))
+    if not (lo >= 0.0 and hi < math.inf):
+        raise ValueError(f"array-form prices must be finite and >= 0, got {lam!r}")
+
+
+def _clip_array(x, lo, hi) -> np.ndarray:
+    # _clip's result wherever lo <= hi; two ufunc calls cost less than np.clip
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def generator_response_corrected_array(p: GeneratorParams, lam) -> np.ndarray:
+    """generator_response_corrected as one array expression at prices lam >= 0.
+
+    p's fields and lam may be arrays; they broadcast together. With a > 0 and
+    B >= 0, as validate_scenario requires, a + lam*B > 0 at every lam >= 0,
+    so only the clipped stationary point is left, computed with the scalar
+    form's operations in its order: the same bits.
+    """
+    _require_price(lam)
+    return _clip_array((lam - p.b) / (2.0 * (p.a + lam * p.B)), p.p_min, p.p_max)
+
+
+def consumer_response_array(p: ConsumerParams, lam) -> np.ndarray:
+    """consumer_response as one array expression at prices lam >= 0.
+
+    p's fields and lam may be arrays; they broadcast together. At lam = 0 the
+    stationary point (w - 0)/(2*alpha) is the saturation point bit for bit,
+    so one expression covers both branches left.
+    """
+    _require_price(lam)
+    return _clip_array((p.w - lam) / (2.0 * p.alpha), p.p_min, p.p_max)
+
+
 def responses(agents: AgentView, lam, generator_response) -> np.ndarray:
     """Node-order best responses, node i to the price lam[i].
 
     Scalar closed forms on purpose: at a handful of nodes numpy's per-call
-    overhead costs more than the arithmetic it would vectorize.
+    overhead costs more than the arithmetic it would vectorize. The oracle,
+    which prices every node alike, uses the array forms above instead.
     """
     return np.array([
         generator_response(p, x) if isinstance(p, GeneratorParams) else consumer_response(p, x)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .best_response import (
     consumer_response,
-    generator_response_corrected,
-    responses,
+    consumer_response_array,
+    generator_response_corrected_array,
     variant_pair,
 )
 from .scenario import GeneratorParams, Scenario, check_feasibility_condition
@@ -55,7 +55,12 @@ def objective_value(scenario: Scenario, P: np.ndarray) -> float:
 
 
 def _responses(scenario: Scenario, lam: float) -> np.ndarray:
-    return responses(scenario.agents, [lam] * scenario.n_nodes, generator_response_corrected)
+    """Node-order best responses of the corrected problem at the one price lam >= 0."""
+    (gen_nodes, gens), (con_nodes, cons) = scenario.agents.by_kind
+    P = np.empty(scenario.n_nodes)
+    P[gen_nodes] = generator_response_corrected_array(gens, lam)
+    P[con_nodes] = consumer_response_array(cons, lam)
+    return P
 
 
 def _balance(scenario: Scenario, lam: float) -> float:
@@ -95,9 +100,13 @@ def solve_centralized(scenario: Scenario) -> CentralSolution:
     case (net supply covers peak demand at zero price) returns lam = 0
     without bisection. Bisection terminates only when both |g(lam)| <= tol and
     the bracket width is <= tol*max(1, lam), with tol = DEFAULT_SOLVE_TOL;
-    failure to bracket raises.
+    failure to bracket raises, and so does a generator with a <= 0 or B < 0.
     """
     tol = DEFAULT_SOLVE_TOL
+    # the array-form responses hold only where a + lam*B > 0 at every lam >= 0
+    gens = scenario.agents.by_kind[0][1]
+    if not ((gens.a > 0.0).all() and (gens.B >= 0.0).all()):
+        raise ValueError("solve_centralized needs a > 0 and B >= 0 for every generator")
     reason = infeasibility(scenario)
     if reason is not None:
         raise InfeasibleScenarioError(reason)
@@ -311,13 +320,8 @@ def _demand_curve(scenario: Scenario):
     mu = np.array(sorted(knots))
     demand = np.zeros_like(mu)
     for c in scenario.consumers:
-        demand += _consumer_response_vec(c, mu)
+        demand += consumer_response_array(c, mu)
     return mu, demand
-
-
-def _consumer_response_vec(c, mu: np.ndarray) -> np.ndarray:
-    x = np.where(mu > 0.0, (c.w - mu) / (2.0 * c.alpha), c.saturation)
-    return np.clip(x, c.p_min, c.p_max)
 
 
 def _balancing_price(S, mu_knots, demand_knots):
@@ -332,7 +336,7 @@ def _consumer_allocation_value(scenario: Scenario, S: np.ndarray, mu_knots, dema
     mu = _balancing_price(S, mu_knots, demand_knots)
     value = np.zeros_like(S)
     for c in scenario.consumers:
-        r = _consumer_response_vec(c, mu)
+        r = consumer_response_array(c, mu)
         sat = c.saturation
         value += np.where(r <= sat, c.w * r - c.alpha * r * r, c.w * c.w / (4.0 * c.alpha))
     return value
@@ -361,16 +365,17 @@ def _grid_values(g: GeneratorParams, step: float, i: np.ndarray) -> tuple:
     return g.net(x), g.cost(x)
 
 
-def _chunk_sum(lead: list, last: np.ndarray) -> np.ndarray:
+def _chunk_sum(lead: list, last: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One quantity (net or cost) at one chunk's points: its values on the
     leading axes at the chunk's rows, summed in generator order, plus its
-    values on the last axis at the chunk's columns."""
+    values on the last axis at the chunk's columns, written to `out` (with
+    no leading axis, a view of `last` instead)."""
     if not lead:
         return last[None, :]
     total = lead[0]
     for values in lead[1:]:
         total = total + values
-    return total[:, None] + last
+    return np.add(total[:, None], last, out=out)
 
 
 def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceResult:
@@ -416,6 +421,12 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     # one consumer value; evaluating it on [d0] gives the same bits
     d0 = demand_knots[0]
     v_sat = _consumer_allocation_value(scenario, np.array([d0]), mu_knots, demand_knots)[0]
+    # the chunk arrays are allocated once per call and filled in place, so
+    # the time does not depend on how the allocator reuses freed chunks; a
+    # short chunk uses the leading part of each
+    size = min(rows, n_lead) * cols
+    buffers = [np.empty(size), np.empty(size), np.empty(size),
+               np.empty(size, dtype=bool), np.empty(size, dtype=bool)]
     best_val = np.inf
     best_flat = None
     for r0 in range(0, n_lead, rows):
@@ -426,16 +437,16 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
         for c0 in range(0, n_last, cols):
             # a tabulated last axis fits a chunk, so it spans the chunk's columns
             last = tables[-1] or _grid_values(gens[-1], grid_step, np.arange(c0, min(c0 + cols, n_last)))
-            # one statement each, so the previous chunk's S is freed before
-            # base is built: building both first made glibc trim and refault
-            # the heap every chunk (0.35 -> 0.5 s on table1 at step 0.05)
-            S = _chunk_sum([net for net, _ in lead], last[0])
-            base = _chunk_sum([cost for _, cost in lead], last[1])
-            feasible = S >= demand_floor - 1e-12
-            obj = base - v_sat
-            low = feasible & (S < d0)
+            chunk = (lead_idx[0].size, last[0].size)
+            S, base, obj, feasible, low = (b[:chunk[0] * chunk[1]].reshape(chunk) for b in buffers)
+            S = _chunk_sum([net for net, _ in lead], last[0], out=S)
+            base = _chunk_sum([cost for _, cost in lead], last[1], out=base)
+            np.greater_equal(S, demand_floor - 1e-12, out=feasible)
+            np.subtract(base, v_sat, out=obj)
+            np.less(S, d0, out=low)
+            low &= feasible
             obj[low] = base[low] - _consumer_allocation_value(scenario, S[low], mu_knots, demand_knots)
-            obj[~feasible] = np.inf
+            obj[np.logical_not(feasible, out=feasible)] = np.inf
             flat = int(np.argmin(obj))
             val = float(obj.flat[flat])
             if val < best_val:

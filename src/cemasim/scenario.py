@@ -11,8 +11,9 @@ raising, so invalid data can be inspected.
 from __future__ import annotations
 
 import json
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -100,14 +101,25 @@ class Digraph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one node")
-        for u, v in self.edges:
-            # int() would load 1.7 and true as 1
-            if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in (u, v)):
-                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
-        for u, v in edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {self.n} nodes")
+        given = tuple(self.edges)
+        # one pass over all endpoints; only a graph that fails it is walked
+        # edge by edge, to name its first offender
+        try:
+            edges = tuple([(u, v) for u, v in given])
+            ends = list(chain.from_iterable(edges))
+            clean = (set(map(type, ends)) <= {int}
+                     and min(ends, default=0) >= 0 and max(ends, default=0) < self.n)
+        except (TypeError, ValueError):
+            clean = False
+        if not clean:
+            for u, v in given:
+                # int() would load 1.7 and true as 1
+                if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in (u, v)):
+                    raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+            edges = tuple((int(u), int(v)) for u, v in given)
+            for u, v in edges:
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for {self.n} nodes")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "node_kind", tuple(NodeKind(k) for k in self.node_kind))
 
@@ -186,6 +198,20 @@ class AgentView:
         """Net injection P - B*P^2 of every node: GeneratorParams.net as one
         node-order vector expression for the engine's round loop."""
         return P - self.loss * P * P
+
+    @cached_property
+    def by_kind(self) -> tuple:
+        """(node indices, parameters) of the generators, then of the consumers,
+        in node order: a GeneratorParams / ConsumerParams whose fields are
+        float arrays, for the array-form best responses. Built on first use
+        and freed with the view."""
+        out = []
+        for cls in (GeneratorParams, ConsumerParams):
+            nodes = [i for i, p in enumerate(self.params) if isinstance(p, cls)]
+            arrays = {f.name: np.array([getattr(self.params[i], f.name) for i in nodes], dtype=float)
+                      for f in fields(cls)}
+            out.append((np.array(nodes, dtype=np.intp), cls(**arrays)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -286,7 +312,10 @@ def check_feasibility_condition(s: Scenario) -> tuple:
 
 
 def _finite(x) -> bool:
-    if isinstance(x, (bool, np.bool_)):
+    """A finite real number: bool, complex and non-numbers are not."""
+    if type(x) is float:
+        return math.isfinite(x)
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
     try:
         return bool(np.isfinite(x))

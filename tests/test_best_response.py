@@ -1,7 +1,12 @@
 """Closed-form best responses against the independent numeric minimizer."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemasim import (
     ConsumerParams,
@@ -14,7 +19,13 @@ from cemasim import (
     power_step,
     run,
 )
-from cemasim.best_response import VARIANTS, responses, variant_pair
+from cemasim.best_response import (
+    VARIANTS,
+    consumer_response_array,
+    generator_response_corrected_array,
+    responses,
+    variant_pair,
+)
 from conftest import (
     consumer_compare,
     generator_corrected_compare,
@@ -276,3 +287,85 @@ class TestResponsesLoop:
     def test_rejects_wrong_price_count(self, table1):
         with pytest.raises(ValueError):
             responses(table1.agents, [1.0, 2.0], generator_response_corrected)
+
+
+@st.composite
+def _valid_generator(draw) -> GeneratorParams:
+    # the rules of validate_scenario: a > 0, B > 0, 0 < p_min <= p_max, 2*B*p_max < 1
+    p_min = draw(st.floats(1e-3, 500.0))
+    p_max = p_min + draw(st.one_of(st.just(0.0), st.floats(0.0, 500.0)))
+    return GeneratorParams(
+        a=draw(st.floats(1e-5, 0.1)),
+        b=draw(st.floats(-5.0, 20.0)),
+        c=draw(st.floats(0.0, 50.0)),
+        B=draw(st.floats(1e-9, 0.99)) / (2.0 * p_max),
+        p_min=p_min,
+        p_max=p_max,
+    )
+
+
+@st.composite
+def _valid_consumer(draw) -> ConsumerParams:
+    p_min = draw(st.floats(1e-3, 300.0))
+    return ConsumerParams(
+        w=draw(st.floats(1e-3, 40.0)),
+        alpha=draw(st.floats(1e-4, 0.5)),
+        p_min=p_min,
+        p_max=p_min + draw(st.one_of(st.just(0.0), st.floats(0.0, 300.0))),
+    )
+
+
+@st.composite
+def _price_case(draw):
+    """Agents and prices >= 0: zero exactly, arbitrary ones, and each agent's
+    clip-boundary prices with their neighbouring floats."""
+    gens = draw(st.lists(_valid_generator(), min_size=1, max_size=5))
+    cons = draw(st.lists(_valid_consumer(), min_size=1, max_size=5))
+    boundaries = [g.loss_adjusted_marginal_cost(x) for g in gens for x in (g.p_min, g.p_max)]
+    boundaries += [c.marginal_utility(x) for c in cons for x in (c.p_min, c.p_max)]
+    boundary = draw(st.sampled_from(boundaries).filter(lambda x: x >= 0.0))
+    near = [max(0.0, math.nextafter(boundary, -math.inf)), boundary,
+            math.nextafter(boundary, math.inf)]
+    lams = [0.0, *near, *draw(st.lists(st.floats(0.0, 1e4), max_size=4))]
+    return gens, cons, lams
+
+
+def _stacked(group):
+    """One params object whose fields are arrays over the group."""
+    cls = type(group[0])
+    return cls(*(np.array(column) for column in zip(*map(dataclasses.astuple, group))))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestArrayForms:
+    """The oracle's one-price array forms against the scalar closed forms."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(case=_price_case())
+    def test_same_bits_as_scalar_forms(self, case):
+        gens, cons, lams = case
+        pairs = ((generator_response_corrected_array, generator_response_corrected, gens),
+                 (consumer_response_array, consumer_response, cons))
+        for array_form, scalar_form, group in pairs:
+            # params as arrays at one price: the oracle's bisection
+            for lam in lams:
+                assert _bits(array_form(_stacked(group), lam)) == \
+                    _bits([scalar_form(p, lam) for p in group])
+            # one agent at an array of prices: the brute-force grid
+            for p in group:
+                assert _bits(array_form(p, np.array(lams))) == \
+                    _bits([scalar_form(p, lam) for lam in lams])
+
+    @pytest.mark.parametrize("array_form, params", [
+        (generator_response_corrected_array, GEN1),
+        (consumer_response_array, CON1),
+    ])
+    @pytest.mark.parametrize("lam", [-1e-300, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_negative_or_non_finite_price(self, array_form, params, lam):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            array_form(params, lam)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            array_form(params, np.array([1.0, lam, 2.0]))

@@ -472,3 +472,33 @@ class TestGenScenarioCommand:
     def test_bad_sizes_exit_one(self, tmp_path):
         assert main(["gen-scenario", "--seed", "1", "--generators", "0",
                      "--output", str(tmp_path / "x.json")]) == 1
+
+
+class TestParserBuiltOnce:
+    """main keeps one parser per process; no option may outlive its call."""
+
+    def test_one_parser_per_process(self):
+        from cemasim import cli
+
+        assert cli._parser() is cli._parser()
+
+    def test_kkt_tol_falls_back_to_default(self, table1_file, tmp_path):
+        from cemasim.oracle import CERTIFY_TOL
+
+        loose, default = tmp_path / "loose.json", tmp_path / "default.json"
+        assert main(["kkt", "--scenario", table1_file, "--tol", "1e-3",
+                     "--output", str(loose)]) == 0
+        assert main(["kkt", "--scenario", table1_file, "--output", str(default)]) == 0
+        assert json.loads(loose.read_text())["tol"] == 1e-3
+        assert json.loads(default.read_text())["tol"] == CERTIFY_TOL
+
+    def test_run_overrides_fall_back_to_the_file(self, table1_file, tmp_path):
+        from cemasim import run
+
+        # a gain of 0.05 with a 3-round cap stops at the cap (exit 2); the
+        # next call must run the file's gain and cap to tolerance again
+        assert main(["run", "--scenario", table1_file, "--eta", "0.05", "--max-iters", "3",
+                     "--output-dir", str(tmp_path / "a")]) == 2
+        assert main(["run", "--scenario", table1_file, "--output-dir", str(tmp_path / "b")]) == 0
+        report = json.loads((tmp_path / "b" / "report_corrected.json").read_text())
+        assert report["rounds"] == run(load_scenario(table1_file), "corrected").rounds

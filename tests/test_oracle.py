@@ -1,5 +1,6 @@
 """Centralized solver, KKT certification, implied prices, brute-force reference."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -19,7 +20,8 @@ from cemasim import (
     solve_centralized,
     validate_scenario,
 )
-from cemasim import oracle
+from cemasim import generator_response_corrected, oracle
+from cemasim.best_response import responses
 from cemasim.oracle import (
     GRID_CHUNK_POINTS,
     _axis_points,
@@ -53,6 +55,35 @@ def _scenario(gens, cons, **kw):
         eps_l=1e-8,
         max_iters=kw.get("max_iters", 200000),
     )
+
+
+def _scalar_responses(scenario, lam):
+    """The per-node scalar loop at one price, the reference for the array form."""
+    return responses(scenario.agents, [lam] * scenario.n_nodes, generator_response_corrected)
+
+
+class TestArrayFormBisection:
+    @pytest.mark.parametrize("seed, n_gen, n_con", [
+        *[(seed, n_gen, n_con) for seed in range(8) for n_gen, n_con in ((1, 1), (2, 3), (3, 2))],
+        (0, 100, 100), (1, 100, 100),
+    ])
+    def test_same_bits_as_scalar_bisection(self, monkeypatch, seed, n_gen, n_con):
+        s = random_scenario(seed, n_gen, n_con)
+        got = solve_centralized(s)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_responses", _scalar_responses)
+            want = solve_centralized(s)
+        assert (got.lam, got.objective, got.iterations, got.balance_residual) == \
+            (want.lam, want.objective, want.iterations, want.balance_residual)
+        assert got.P.tobytes() == want.P.tobytes()
+
+    @pytest.mark.parametrize("field, value", [("a", 0.0), ("a", -1e-3), ("B", -1e-4)])
+    def test_rejects_generators_the_array_form_cannot_price(self, table1, field, value):
+        # a + lam*B can reach 0 at some lam >= 0, where only the scalar form's
+        # concave branch is right
+        gen = dataclasses.replace(table1.generators[0], **{field: value})
+        with pytest.raises(ValueError, match="a > 0 and B >= 0"):
+            solve_centralized(dataclasses.replace(table1, generators=(gen, table1.generators[1])))
 
 
 class TestSolveCentralized:

@@ -265,6 +265,26 @@ class TestValidateScenario:
         s = dataclasses.replace(table1, **{name: value})
         assert [v.rule for v in validate_scenario(s)] == [f"scenario.{name}"]
 
+    @pytest.mark.parametrize("value", [0.0024 + 0j, np.complex128(0.0024)],
+                             ids=["complex", "complex128"])
+    @pytest.mark.parametrize("kind, field, rule", [
+        ("generators", "a", "gen.finite"),
+        ("consumers", "w", "con.finite"),
+    ])
+    def test_complex_agent_parameter_flagged(self, table1, kind, field, rule, value):
+        # a complex number is finite to np.isfinite, but no closed form is defined on it
+        group = getattr(table1, kind)
+        changed = dataclasses.replace(group[0], **{field: value})
+        s = dataclasses.replace(table1, **{kind: (changed, *group[1:])})
+        assert [v.rule for v in validate_scenario(s)] == [rule]
+
+    @pytest.mark.parametrize("value", [0.002 + 0j, np.complex128(0.002)],
+                             ids=["complex", "complex128"])
+    @pytest.mark.parametrize("name", ["eta", "eps_m", "eps_l"])
+    def test_complex_constant_flagged(self, table1, name, value):
+        s = dataclasses.replace(table1, **{name: value})
+        assert [v.rule for v in validate_scenario(s)] == [f"scenario.{name}"]
+
     @pytest.mark.parametrize("field", ["a", "b", "c", "B", "p_min", "p_max"])
     def test_bool_generator_parameter_flagged(self, table1, field):
         gen = dataclasses.replace(table1.generators[0], **{field: True})
@@ -490,6 +510,54 @@ class TestDigraphConstruction:
         # negative indices would silently wrap when building weight matrices
         with pytest.raises(ValueError, match="out of range"):
             Digraph(n=2, edges=[(0, 0), (-1, 1)], node_kind=["generator", "consumer"])
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 0), (1, 1), (0, 1, 1)],
+        [(0, 0), (1,)],
+        [(0, 0), 5],
+        [(0, 0), None],
+        # the first offender is named even when a later edge is malformed
+        [(0, 1.5), (1,)],
+        [(0, 0), (1,), (0, 1.5)],
+        [(0, 0), (5, 0), (1,)],
+    ])
+    def test_malformed_edges_keep_their_error(self, edges):
+        # what the edge-by-edge walk raises: each edge unpacked as (u, v),
+        # every endpoint type checked, then every endpoint's range
+        want = None
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError) as exc:
+                want = (type(exc), str(exc))
+                break
+            if not all(type(x) is int for x in (u, v)):
+                want = (ValueError, f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+                break
+        else:
+            want = (ValueError, "edge (5, 0) out of range for 2 nodes")
+        with pytest.raises(Exception) as exc:
+            Digraph(n=2, edges=edges, node_kind=["generator", "consumer"])
+        assert (type(exc.value), str(exc.value)) == want
+
+    @pytest.mark.parametrize("edge, error", [
+        ([0, 1, 1], ValueError), ([0], ValueError), (5, TypeError), (None, TypeError),
+    ])
+    def test_malformed_file_edges_keep_their_error(self, table1, edge, error):
+        d = scenario_to_dict(table1)
+        d["graph"]["edges"].append(edge)
+        try:
+            u, v = tuple(edge)
+        except (TypeError, ValueError) as exc:
+            want = str(exc)
+        with pytest.raises(error) as exc:
+            scenario_from_dict(json.loads(json.dumps(d)))
+        assert str(exc.value) == want
+
+    def test_one_shot_edge_iterator_keeps_its_edges(self):
+        edges = [(0, 0), (1, 1), (0, 1), (1, 0)]
+        g = Digraph(n=2, edges=iter(edges), node_kind=["generator", "consumer"])
+        assert g.edges == tuple(edges)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
