@@ -16,13 +16,12 @@ which is the engine's primary structural invariant.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import best_response
-from .scenario import Scenario, validate_scenario
+from .scenario import Scenario, is_integer, validate_scenario
 
 TERMINATED_BY_TOLERANCE = "by-tolerance"
 TERMINATED_BY_MAX_ITERS = "by-max-iters"
@@ -112,8 +111,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     if violations:
         raise InvalidScenarioError(violations)
     best_response.variant_pair(variant)
-    if (isinstance(trace_stride, bool) or not isinstance(trace_stride, numbers.Integral)
-            or trace_stride < 1):
+    if not (is_integer(trace_stride) and trace_stride >= 1):
         raise ValueError("trace_stride must be an integer >= 1")
 
     n = scenario.n_nodes

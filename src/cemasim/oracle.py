@@ -15,18 +15,16 @@ the independent cross-check for the bisection route.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .best_response import (
-    consumer_response,
     consumer_response_array,
     generator_response_corrected_array,
     variant_pair,
 )
-from .scenario import GeneratorParams, Scenario, check_feasibility_condition
+from .scenario import GeneratorParams, Scenario, check_feasibility_condition, is_real
 
 DEFAULT_SOLVE_TOL = 1e-9
 CERTIFY_TOL = 1e-6  # largest KKT residual that certifies a candidate
@@ -45,28 +43,47 @@ class BracketError(RuntimeError):
     pass
 
 
+def _ordered_sum(x: np.ndarray) -> float:
+    """0.0 + x[0] + x[1] + ..., left to right as a loop adds: np.sum's
+    pairwise order would move the last bits. Adding 0.0 last turns a sum of
+    -0.0s into 0.0, as starting from 0.0 does."""
+    return float(np.cumsum(x)[-1]) + 0.0 if x.size else 0.0
+
+
+def _node_order(scenario: Scenario, gen_values, con_values) -> np.ndarray:
+    """One node-order array from its values at the generators and at the
+    consumers, each in `AgentView.by_kind` order."""
+    (gen_nodes, _), (con_nodes, _) = scenario.agents.by_kind
+    out = np.empty(scenario.n_nodes)
+    out[gen_nodes] = gen_values
+    out[con_nodes] = con_values
+    return out
+
+
+def _node_powers(scenario: Scenario, P) -> np.ndarray:
+    P = np.asarray(P, dtype=float)
+    if P.shape != (scenario.n_nodes,):
+        raise ValueError(f"expected {scenario.n_nodes} node powers, got shape {P.shape}")
+    return P
+
+
 def objective_value(scenario: Scenario, P: np.ndarray) -> float:
     """Total cost minus total utility at a full node-order power vector."""
-    total = 0.0
-    for params, x in zip(scenario.agents.params, np.asarray(P, dtype=float).tolist(),
-                         strict=True):
-        total += params.cost(x) if isinstance(params, GeneratorParams) else -params.utility(x)
-    return total
+    P = _node_powers(scenario, P)
+    (gen_nodes, gens), (con_nodes, cons) = scenario.agents.by_kind
+    return _ordered_sum(_node_order(scenario, gens.cost(P[gen_nodes]), -cons.utility(P[con_nodes])))
 
 
 def _responses(scenario: Scenario, lam: float) -> np.ndarray:
     """Node-order best responses of the corrected problem at the one price lam >= 0."""
-    (gen_nodes, gens), (con_nodes, cons) = scenario.agents.by_kind
-    P = np.empty(scenario.n_nodes)
-    P[gen_nodes] = generator_response_corrected_array(gens, lam)
-    P[con_nodes] = consumer_response_array(cons, lam)
-    return P
+    (_, gens), (_, cons) = scenario.agents.by_kind
+    return _node_order(scenario, generator_response_corrected_array(gens, lam),
+                       consumer_response_array(cons, lam))
 
 
 def _balance(scenario: Scenario, lam: float) -> float:
-    # left-to-right in node order: np.sum's pairwise order would move the bisection
     agents = scenario.agents
-    return float(np.cumsum(-agents.sign * agents.net(_responses(scenario, lam)))[-1])
+    return _ordered_sum(-agents.sign * agents.net(_responses(scenario, lam)))
 
 
 def infeasibility(scenario: Scenario) -> str | None:
@@ -76,8 +93,9 @@ def infeasibility(scenario: Scenario) -> str | None:
     feasible, slack = check_feasibility_condition(scenario)
     if not feasible:
         return f"demand headroom violated: sum_cons p_max - sum_gen (p_min - B*p_max^2) = {slack}"
-    max_supply = sum(g.net(g.p_max) for g in scenario.generators)
-    min_demand = sum(c.p_min for c in scenario.consumers)
+    (_, gens), (_, cons) = scenario.agents.by_kind
+    max_supply = _ordered_sum(gens.net(gens.p_max))
+    min_demand = _ordered_sum(cons.p_min)
     if max_supply < min_demand:
         return f"demand floor {min_demand} exceeds maximal net supply {max_supply}"
     return None
@@ -104,7 +122,7 @@ def solve_centralized(scenario: Scenario) -> CentralSolution:
     """
     tol = DEFAULT_SOLVE_TOL
     # the array-form responses hold only where a + lam*B > 0 at every lam >= 0
-    gens = scenario.agents.by_kind[0][1]
+    (_, gens), (_, cons) = scenario.agents.by_kind
     if not ((gens.a > 0.0).all() and (gens.B >= 0.0).all()):
         raise ValueError("solve_centralized needs a > 0 and B >= 0 for every generator")
     reason = infeasibility(scenario)
@@ -118,10 +136,8 @@ def solve_centralized(scenario: Scenario) -> CentralSolution:
     g_hi = _balance(scenario, hi)
     iterations = 0
     if g_hi < 0.0:
-        for g in scenario.generators:
-            hi = max(hi, g.loss_adjusted_marginal_cost(g.p_max))
-        for c in scenario.consumers:
-            hi = max(hi, c.marginal_utility(c.p_min))
+        hi = float(max(gens.loss_adjusted_marginal_cost(gens.p_max).max(initial=0.0),
+                       cons.marginal_utility(cons.p_min).max(initial=0.0)))
         if hi <= 0.0:
             hi = 1.0
         doublings = 0
@@ -218,38 +234,24 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
     stationarity residual. Box violations appear as negative primal slack,
     not as errors.
     """
-    P = np.asarray(P, dtype=float)
-    agents = scenario.agents
-    n = scenario.n_nodes
-    gamma = np.zeros(n)
-    nu = np.zeros(n)
-    stationarity = np.zeros(n)
-    lower_slack = np.zeros(n)
-    upper_slack = np.zeros(n)
+    P = _node_powers(scenario, P)
+    lam = float(lam)
+    (gen_nodes, gens), (con_nodes, cons) = scenario.agents.by_kind
+    P_gen, P_con = P[gen_nodes], P[con_nodes]
+    # stationarity: C'(P) - lam*(1 - 2BP) - gamma + nu = 0 for a generator,
+    # lam - U'(P) - gamma + nu = 0 for a consumer
+    expr = _node_order(scenario, gens.marginal_cost(P_gen) - lam * gens.marginal_net(P_gen),
+                       lam - cons.marginal_utility(P_con))
+    lower_slack = P - _node_order(scenario, gens.p_min, cons.p_min)
+    upper_slack = _node_order(scenario, gens.p_max, cons.p_max) - P
+    lower = (np.abs(lower_slack) <= ACTIVE_BOUND_TOL) & (expr >= 0.0)
+    upper = ~lower & (np.abs(upper_slack) <= ACTIVE_BOUND_TOL) & (expr <= 0.0)
+    gamma = np.where(lower, expr, 0.0)
+    nu = np.where(upper, -expr, 0.0)
+    stationarity = np.where(lower | upper, 0.0, expr)
 
-    net_supply = 0.0
-    demand = 0.0
-    net = agents.net(P).tolist()
-    for i, (params, Pi) in enumerate(zip(agents.params, P.tolist(), strict=True)):
-        if isinstance(params, GeneratorParams):
-            # stationarity: C'(P) - lam*(1 - 2BP) - gamma + nu = 0
-            expr = params.marginal_cost(Pi) - lam * params.marginal_net(Pi)
-            net_supply += net[i]
-        else:
-            # stationarity: lam - U'(P) - gamma + nu = 0
-            expr = lam - params.marginal_utility(Pi)
-            demand += Pi
-        lower_slack[i] = Pi - params.p_min
-        upper_slack[i] = params.p_max - Pi
-        at_lower = abs(Pi - params.p_min) <= ACTIVE_BOUND_TOL
-        at_upper = abs(Pi - params.p_max) <= ACTIVE_BOUND_TOL
-        if at_lower and expr >= 0.0:
-            gamma[i] = expr
-        elif at_upper and expr <= 0.0:
-            nu[i] = -expr
-        else:
-            stationarity[i] = expr
-
+    net_supply = _ordered_sum(gens.net(P_gen))
+    demand = _ordered_sum(P_con)
     balance_slack = net_supply - demand
     balance_complementarity = lam * (demand - net_supply)
     lower_complementarity = np.abs(gamma * lower_slack)
@@ -269,7 +271,7 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
     # must make the maximum NaN so that the candidate cannot certify
     max_residual = math.nan if any(map(math.isnan, residuals)) else max(residuals)
     return KktReport(
-        lam=float(lam),
+        lam=lam,
         gamma=gamma,
         nu=nu,
         stationarity=stationarity,
@@ -280,7 +282,7 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
         lower_slack=lower_slack,
         upper_slack=upper_slack,
         max_residual=max_residual,
-        certified=max_residual <= tol,
+        certified=bool(max_residual <= tol),
         tol=tol,
     )
 
@@ -297,7 +299,7 @@ def implied_prices(P_gen, scenario: Scenario, variant: str) -> np.ndarray:
     if P_gen.size != len(scenario.generators):
         raise ValueError("expected one power per generator")
     _, price = variant_pair(variant)
-    return np.array([price(g, x) for g, x in zip(scenario.generators, P_gen.tolist())])
+    return price(scenario.agents.by_kind[0][1], P_gen)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +315,9 @@ class BruteForceResult:
 
 def _demand_curve(scenario: Scenario):
     """Knots of the piecewise-linear aggregate demand as a function of price."""
-    knots = {0.0}
-    for c in scenario.consumers:
-        knots.add(c.marginal_utility(c.p_max))
-        knots.add(c.marginal_utility(c.p_min))
-    mu = np.array(sorted(knots))
+    cons = scenario.agents.by_kind[1][1]
+    mu = np.unique(np.concatenate(
+        ([0.0], cons.marginal_utility(cons.p_max), cons.marginal_utility(cons.p_min))))
     demand = np.zeros_like(mu)
     for c in scenario.consumers:
         demand += consumer_response_array(c, mu)
@@ -336,9 +336,7 @@ def _consumer_allocation_value(scenario: Scenario, S: np.ndarray, mu_knots, dema
     mu = _balancing_price(S, mu_knots, demand_knots)
     value = np.zeros_like(S)
     for c in scenario.consumers:
-        r = consumer_response_array(c, mu)
-        sat = c.saturation
-        value += np.where(r <= sat, c.w * r - c.alpha * r * r, c.w * c.w / (4.0 * c.alpha))
+        value += c.utility(consumer_response_array(c, mu))
     return value
 
 
@@ -391,9 +389,9 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     """
     if not (1 <= len(scenario.generators) <= 3):
         raise ValueError("brute force supports 1 to 3 generators")
-    if (isinstance(grid_step, bool) or not isinstance(grid_step, numbers.Real)
-            or not (math.isfinite(grid_step) and grid_step > 0)):
+    if not (is_real(grid_step) and math.isfinite(grid_step) and grid_step > 0):
         raise ValueError("grid_step must be a positive finite number")
+    grid_step = float(grid_step)
     gens = scenario.generators
     counts = [_axis_points(g.p_min, g.p_max, grid_step) for g in gens]
     points = math.prod(counts)
@@ -402,8 +400,9 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
                          f"above the budget of {GRID_POINT_BUDGET:.4g}")
     shape = [int(n) for n in counts]
 
+    (_, gen_arrays), (_, cons) = scenario.agents.by_kind
     mu_knots, demand_knots = _demand_curve(scenario)
-    demand_floor = sum(c.p_min for c in scenario.consumers)
+    demand_floor = _ordered_sum(cons.p_min)
 
     # a chunk is a contiguous range of C-order flat grid indices: a block of
     # rows of the flattened leading axes times the whole last axis, or, when
@@ -456,13 +455,10 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     if best_flat is None or not np.isfinite(best_val):
         raise InfeasibleScenarioError("no feasible grid point: demand floor exceeds net supply")
     idx = np.unravel_index(best_flat, shape)
-    best_gen = [float(_axis_values(g.p_min, g.p_max, grid_step, i)) for g, i in zip(gens, idx)]
+    best_gen = np.array([_axis_values(g.p_min, g.p_max, grid_step, i) for g, i in zip(gens, idx)])
 
-    # rebuild the full node vector: consumers at the balancing price of the
-    # winning supply level
-    S_best = sum(g.net(x) for g, x in zip(scenario.generators, best_gen))
-    mu = float(_balancing_price(S_best, mu_knots, demand_knots))
-    P = np.empty(scenario.n_nodes)
-    P[list(scenario.generator_nodes)] = best_gen
-    P[list(scenario.consumer_nodes)] = [consumer_response(c, mu) for c in scenario.consumers]
+    # rebuild the full node vector: consumers at the balancing price (>= 0)
+    # of the winning supply level
+    mu = float(_balancing_price(_ordered_sum(gen_arrays.net(best_gen)), mu_knots, demand_knots))
+    P = _node_order(scenario, best_gen, consumer_response_array(cons, mu))
     return BruteForceResult(P=P, objective=best_val, grid_step=grid_step)

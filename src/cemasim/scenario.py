@@ -66,7 +66,8 @@ class GeneratorParams:
 
 @dataclass(frozen=True)
 class ConsumerParams:
-    """Saturating quadratic utility w*P - alpha*P^2 (flat beyond w/(2*alpha))."""
+    """Saturating quadratic utility w*P - alpha*P^2 (flat beyond w/(2*alpha));
+    every method takes floats and arrays alike (a float gives a numpy scalar)."""
 
     w: float
     alpha: float
@@ -78,16 +79,30 @@ class ConsumerParams:
         return self.w / (2.0 * self.alpha)
 
     def utility(self, P: float) -> float:
-        if P <= self.saturation:
-            return self.w * P - self.alpha * P * P
-        return self.w * self.w / (4.0 * self.alpha)
+        return np.where(P <= self.saturation, self.w * P - self.alpha * P * P,
+                        self.w * self.w / (4.0 * self.alpha))[()]
 
     def marginal_utility(self, P: float) -> float:
-        # C1 across the saturation point: both branches give 0 there.
-        return max(0.0, self.w - 2.0 * self.alpha * P)
+        # C1 across the saturation point: both branches give 0 there. Not
+        # np.maximum: like max(0.0, m), this sends NaN and -0.0 to 0.0
+        m = self.w - 2.0 * self.alpha * P
+        return np.where(m > 0.0, m, 0.0)[()]
 
 
 AgentParams = Union[GeneratorParams, ConsumerParams]
+
+
+def is_integer(x) -> bool:
+    """An int, numpy's included, never a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+_REAL_TYPES = (float, np.floating, numbers.Integral)  # built once: is_real is a hot check
+
+
+def is_real(x) -> bool:
+    """An int or a float, numpy's included, never a bool (nor a Fraction)."""
+    return isinstance(x, _REAL_TYPES) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -99,6 +114,9 @@ class Digraph:
     node_kind: tuple
 
     def __post_init__(self):
+        # range(n) would take neither 4.0 nor, as a count, true
+        if not is_integer(self.n):
+            raise ValueError(f"graph node count {self.n!r} is not an integer")
         if self.n < 1:
             raise ValueError("graph needs at least one node")
         given = tuple(self.edges)
@@ -114,7 +132,7 @@ class Digraph:
         if not clean:
             for u, v in given:
                 # int() would load 1.7 and true as 1
-                if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in (u, v)):
+                if not (is_integer(u) and is_integer(v)):
                     raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             edges = tuple((int(u), int(v)) for u, v in given)
             for u, v in edges:
@@ -149,18 +167,23 @@ class Digraph:
 
 
 def real_array(values, name: str, ndim: int) -> np.ndarray:
-    """Ints and floats nested `ndim` lists deep (a bare number at 0), or an
-    int or float array, as a new float array; raises ValueError on any other
-    entry or dtype, bool included (np.array(dtype=float) would load "0.5"
-    and True), and on a list where a number belongs."""
+    """Numbers (`is_real`) nested `ndim` lists deep (a bare number at 0), or
+    an int or float array, as a new float array; raises ValueError on any
+    other entry or dtype (np.array(dtype=float) would load "0.5" and True),
+    and on a list where a number belongs."""
+
+    def entries():
+        flat = [values]
+        for _ in range(ndim):
+            flat = chain.from_iterable(flat)
+        return flat
+
     if isinstance(values, np.ndarray):
         bad = set() if values.dtype.kind in "iuf" else {values.dtype.name}
+    elif set(map(type, entries())) <= {float, int}:
+        bad = set()
     else:
-        entries = [values]
-        for _ in range(ndim):
-            entries = chain.from_iterable(entries)
-        bad = {t.__name__ for t in set(map(type, entries))
-               if issubclass(t, bool) or not issubclass(t, numbers.Real)}
+        bad = {type(x).__name__ for x in entries() if not is_real(x)}
     if bad:
         raise ValueError(f"{name} has non-numeric entries of type {', '.join(sorted(bad))}")
     return np.array(values, dtype=float)
@@ -312,14 +335,10 @@ def check_feasibility_condition(s: Scenario) -> tuple:
 
 
 def _finite(x) -> bool:
-    """A finite real number: bool, complex and non-numbers are not."""
-    if type(x) is float:
-        return math.isfinite(x)
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
+    """A number (`is_real`) that is finite as a float."""
     try:
-        return bool(np.isfinite(x))
-    except TypeError:
+        return is_real(x) and math.isfinite(x)
+    except OverflowError:  # an int past float range
         return False
 
 
@@ -423,8 +442,7 @@ def validate_scenario(s: Scenario) -> list:
         add(-1, "scenario.eps_m", f"eps_m = {s.eps_m} must be > 0")
     if not (_finite(s.eps_l) and s.eps_l > 0):
         add(-1, "scenario.eps_l", f"eps_l = {s.eps_l} must be > 0")
-    if not (isinstance(s.max_iters, numbers.Integral) and not isinstance(s.max_iters, bool)
-            and s.max_iters >= 1):
+    if not (is_integer(s.max_iters) and s.max_iters >= 1):
         add(-1, "scenario.max_iters", f"max_iters = {s.max_iters!r} must be an integer >= 1")
 
     return sorted(out)
@@ -466,9 +484,9 @@ def _exact_int(x):
 
 
 def _real(x):
-    """An int or a float as float; any other value, bool included, as given,
-    for validate_scenario to judge (float() would load "0.002" and true)."""
-    return float(x) if isinstance(x, (int, float)) and not isinstance(x, bool) else x
+    """A number (`is_real`) as float; any other value as given, for
+    validate_scenario to judge (float() would load "0.002" and true)."""
+    return float(x) if is_real(x) else x
 
 
 def scenario_from_dict(d: dict) -> Scenario:

@@ -240,6 +240,18 @@ class TestSolveCommand:
         path.write_text("{not json")
         assert main(["solve", "--scenario", str(path)]) == 1
 
+    @pytest.mark.parametrize("n", [4.0, 4.5, True])
+    def test_non_integer_node_count_exits_one_without_traceback(self, tmp_path, capsys, n):
+        path = tmp_path / "bad.json"
+        d = scenario_to_dict(table1_scenario())
+        d["graph"]["n"] = n
+        path.write_text(json.dumps(d))
+        assert main(["solve", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read scenario {str(path)!r}: graph node count ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_tol_option_removed(self, table1_file, capsys):
         # solve certifies at a fixed 1e-6, so a bisection tolerance set from
         # the command line could only break it

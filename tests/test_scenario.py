@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from cemasim import (
     GeneratorParams,
     Scenario,
     WeightMatrices,
+    brute_force_reference,
     build_uniform_weights,
     check_feasibility_condition,
     load_scenario,
+    run,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -22,6 +25,7 @@ from cemasim import (
 )
 from cemasim.best_response import generator_response_corrected
 from cemasim.presets import ring_digraph
+from cemasim.scenario import real_array
 
 
 GEN1 = GeneratorParams(a=0.0024, b=5.56, c=30.0, B=0.00021, p_min=60.0, p_max=339.69)
@@ -489,6 +493,15 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="non-integer endpoint"):
             scenario_from_dict(json.loads(json.dumps(d)))
 
+    @pytest.mark.parametrize("n", [4.0, 4.5, True])
+    def test_non_integer_node_count_rejected(self, table1, n):
+        # range(n) in validation would raise TypeError on 4.0, and true would
+        # count as one node
+        d = scenario_to_dict(table1)
+        d["graph"]["n"] = n
+        with pytest.raises(ValueError, match=f"graph node count {n!r} is not an integer"):
+            scenario_from_dict(json.loads(json.dumps(d)))
+
     def test_unknown_preset_rejected(self, table1):
         d = scenario_to_dict(table1)
         d["graph"] = {"preset": "mesh9"}
@@ -566,3 +579,57 @@ class TestDigraphConstruction:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Digraph(n=1, edges=[(0, 0)], node_kind=["storage"])
+
+
+def _accepted(call) -> bool:
+    """Whether call() runs without raising ValueError."""
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+# each site of the number rule: does it accept x as a number?
+NUMBER_SITES = {
+    "graph.n": lambda table1, x: _accepted(
+        lambda: Digraph(n=x, edges=[(0, 0)], node_kind=["generator"])),
+    "graph.edge": lambda table1, x: _accepted(
+        lambda: Digraph(n=2, edges=[(0, 0), (x, 1), (1, 0)], node_kind=["generator", "consumer"])),
+    "real_array": lambda table1, x: _accepted(lambda: real_array([[x]], "W", 2)),
+    "gen.finite": lambda table1, x: "gen.finite" not in {v.rule for v in validate_scenario(
+        dataclasses.replace(table1, generators=(dataclasses.replace(table1.generators[0], a=x),
+                                                *table1.generators[1:])))},
+    "file.eta": lambda table1, x: type(scenario_from_dict(
+        {**scenario_to_dict(table1), "eta": x}).eta) is float,
+    "max_iters": lambda table1, x: "scenario.max_iters" not in {
+        v.rule for v in validate_scenario(dataclasses.replace(table1, max_iters=x))},
+    "trace_stride": lambda table1, x: _accepted(
+        lambda: run(table1, "corrected", trace_stride=x)),
+    "grid_step": lambda table1, x: _accepted(lambda: brute_force_reference(table1, x)),
+}
+INTEGER_SITES = {"graph.n", "graph.edge", "max_iters", "trace_stride"}
+NUMBERS = {
+    "True": True, "np.bool_": np.True_, "Fraction": Fraction(1), "complex": 1 + 0j, "str": "1",
+    "int": 1, "np.int64": np.int64(1), "float": 1.0, "np.float32": np.float32(1.0),
+}
+INTEGERS = {"int", "np.int64"}
+REALS = INTEGERS | {"float", "np.float32"}
+
+
+class TestNumberRule:
+    """One rule at every site: an int (integer sites), or an int or a float
+    (real sites), numpy's included, never a bool."""
+
+    @pytest.mark.parametrize("site", sorted(NUMBER_SITES))
+    @pytest.mark.parametrize("name", sorted(NUMBERS))
+    def test_site_follows_the_rule(self, table1, site, name):
+        accepted = NUMBER_SITES[site](table1, NUMBERS[name])
+        assert accepted == (name in (INTEGERS if site in INTEGER_SITES else REALS))
+
+    def test_real_grid_step_runs_in_float(self, table1):
+        # np.float32 arithmetic would move the grid's points
+        want = brute_force_reference(table1, 0.5)
+        got = brute_force_reference(table1, np.float32(0.5))
+        assert type(got.grid_step) is float
+        assert (got.P.tobytes(), got.objective) == (want.P.tobytes(), want.objective)
