@@ -235,6 +235,8 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
     not as errors.
     """
     P = _node_powers(scenario, P)
+    if not is_real(lam):  # float() would take "1e-3", True and Fraction(1)
+        raise ValueError(f"lambda {lam!r} is not a number")
     lam = float(lam)
     (gen_nodes, gens), (con_nodes, cons) = scenario.agents.by_kind
     P_gen, P_con = P[gen_nodes], P[con_nodes]

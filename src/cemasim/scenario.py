@@ -67,7 +67,7 @@ class GeneratorParams:
 @dataclass(frozen=True)
 class ConsumerParams:
     """Saturating quadratic utility w*P - alpha*P^2 (flat beyond w/(2*alpha));
-    every method takes floats and arrays alike (a float gives a numpy scalar)."""
+    every method takes floats and arrays alike (a float gives a float)."""
 
     w: float
     alpha: float
@@ -79,30 +79,44 @@ class ConsumerParams:
         return self.w / (2.0 * self.alpha)
 
     def utility(self, P: float) -> float:
-        return np.where(P <= self.saturation, self.w * P - self.alpha * P * P,
-                        self.w * self.w / (4.0 * self.alpha))[()]
+        return _float_if_scalar(np.where(P <= self.saturation, self.w * P - self.alpha * P * P,
+                                         self.w * self.w / (4.0 * self.alpha)))
 
     def marginal_utility(self, P: float) -> float:
         # C1 across the saturation point: both branches give 0 there. Not
         # np.maximum: like max(0.0, m), this sends NaN and -0.0 to 0.0
         m = self.w - 2.0 * self.alpha * P
-        return np.where(m > 0.0, m, 0.0)[()]
+        return _float_if_scalar(np.where(m > 0.0, m, 0.0))
+
+
+def _float_if_scalar(x: np.ndarray):
+    # np.where's 0-d result as a float, as arithmetic on floats gives one
+    return x if x.ndim else float(x)
 
 
 AgentParams = Union[GeneratorParams, ConsumerParams]
 
+# The number rule, written once over types so that a container's entries are
+# judged by the set of their types. An integer is an int, numpy's included,
+# never a bool; a real is an int or a float, numpy's included, never a bool
+# (nor a Fraction, a complex number or a string).
+_REAL_TYPES = (float, np.floating, numbers.Integral)
+
+
+def _integer_type(t: type) -> bool:
+    return issubclass(t, numbers.Integral) and not issubclass(t, bool)
+
+
+def _real_type(t: type) -> bool:
+    return issubclass(t, _REAL_TYPES) and not issubclass(t, bool)
+
 
 def is_integer(x) -> bool:
-    """An int, numpy's included, never a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-_REAL_TYPES = (float, np.floating, numbers.Integral)  # built once: is_real is a hot check
+    return _integer_type(type(x))
 
 
 def is_real(x) -> bool:
-    """An int or a float, numpy's included, never a bool (nor a Fraction)."""
-    return isinstance(x, _REAL_TYPES) and not isinstance(x, bool)
+    return _real_type(type(x))
 
 
 @dataclass(frozen=True)
@@ -120,12 +134,12 @@ class Digraph:
         if self.n < 1:
             raise ValueError("graph needs at least one node")
         given = tuple(self.edges)
-        # one pass over all endpoints; only a graph that fails it is walked
-        # edge by edge, to name its first offender
+        # one pass over the set of endpoint types and their range; only a
+        # graph that fails it is walked edge by edge, to name its first offender
         try:
             edges = tuple([(u, v) for u, v in given])
             ends = list(chain.from_iterable(edges))
-            clean = (set(map(type, ends)) <= {int}
+            clean = (all(map(_integer_type, set(map(type, ends))))
                      and min(ends, default=0) >= 0 and max(ends, default=0) < self.n)
         except (TypeError, ValueError):
             clean = False
@@ -134,11 +148,11 @@ class Digraph:
                 # int() would load 1.7 and true as 1
                 if not (is_integer(u) and is_integer(v)):
                     raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
-            edges = tuple((int(u), int(v)) for u, v in given)
-            for u, v in edges:
+            for u, v in given:
                 if not (0 <= u < self.n and 0 <= v < self.n):
                     raise ValueError(f"edge ({u}, {v}) out of range for {self.n} nodes")
-        object.__setattr__(self, "edges", edges)
+        # numpy ints as Python ints
+        object.__setattr__(self, "edges", tuple([(int(u), int(v)) for u, v in edges]))
         object.__setattr__(self, "node_kind", tuple(NodeKind(k) for k in self.node_kind))
 
     def missing_self_loops(self) -> list:
@@ -172,18 +186,13 @@ def real_array(values, name: str, ndim: int) -> np.ndarray:
     other entry or dtype (np.array(dtype=float) would load "0.5" and True),
     and on a list where a number belongs."""
 
-    def entries():
-        flat = [values]
-        for _ in range(ndim):
-            flat = chain.from_iterable(flat)
-        return flat
-
     if isinstance(values, np.ndarray):
         bad = set() if values.dtype.kind in "iuf" else {values.dtype.name}
-    elif set(map(type, entries())) <= {float, int}:
-        bad = set()
     else:
-        bad = {type(x).__name__ for x in entries() if not is_real(x)}
+        entries = [values]
+        for _ in range(ndim):
+            entries = chain.from_iterable(entries)
+        bad = {t.__name__ for t in set(map(type, entries)) if not _real_type(t)}
     if bad:
         raise ValueError(f"{name} has non-numeric entries of type {', '.join(sorted(bad))}")
     return np.array(values, dtype=float)

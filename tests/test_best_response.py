@@ -156,6 +156,9 @@ class TestLambdaInit:
         assert lambda_init(GEN2) == pytest.approx(4.672422549517522, abs=1e-12)
         assert lambda_init(CON1) == pytest.approx(7.49294, abs=1e-9)
 
+    def test_python_float_for_every_kind(self):
+        assert [type(lambda_init(p)) for p in (GEN1, GEN2, CON1, CON2)] == [float] * 4
+
     def test_flat_branch_consumer(self):
         # cap beyond the saturation point: flat-branch derivative is zero
         assert CON2.p_max > CON2.saturation

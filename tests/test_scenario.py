@@ -16,6 +16,7 @@ from cemasim import (
     brute_force_reference,
     build_uniform_weights,
     check_feasibility_condition,
+    kkt_check,
     load_scenario,
     run,
     save_scenario,
@@ -607,6 +608,7 @@ NUMBER_SITES = {
     "trace_stride": lambda table1, x: _accepted(
         lambda: run(table1, "corrected", trace_stride=x)),
     "grid_step": lambda table1, x: _accepted(lambda: brute_force_reference(table1, x)),
+    "kkt.lam": lambda table1, x: _accepted(lambda: kkt_check(np.zeros(4), x, table1)),
 }
 INTEGER_SITES = {"graph.n", "graph.edge", "max_iters", "trace_stride"}
 NUMBERS = {
