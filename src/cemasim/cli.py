@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import math
 import sys
 from contextlib import contextmanager
@@ -34,6 +33,7 @@ from .scenario import (
     Scenario,
     json_text,
     load_scenario,
+    read_json,
     real_array,
     save_scenario,
     validate_scenario,
@@ -43,7 +43,7 @@ from .scenario import (
 # which a fixed point is flagged as inconsistent with optimality
 PRICE_DISAGREEMENT_TOL = 1e-3
 
-# what reading a scenario or candidate file can raise (json.JSONDecodeError
+# what reading a scenario or candidate file can raise (a JSON syntax error
 # is a ValueError): each is bad input, reported without a traceback
 READ_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
@@ -81,8 +81,7 @@ def _read_candidate(path: str) -> tuple:
     """(P, lambda) of a candidate file {"P": [...], "lambda": x}, whose numbers
     follow the type rule of scenario files."""
     with _bad_input(READ_ERRORS, f"cannot read candidate {path!r}: "):
-        with open(path) as f:
-            cand = json.load(f)
+        cand = read_json(path)
         return real_array(cand["P"], "P", 1), float(real_array(cand["lambda"], "lambda", 0))
 
 

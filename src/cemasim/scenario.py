@@ -20,6 +20,7 @@ from itertools import chain
 from typing import Union
 
 import numpy as np
+import orjson
 
 STOCHASTIC_TOL = 1e-12
 
@@ -319,6 +320,9 @@ def build_uniform_weights(g: Digraph) -> WeightMatrices:
     W[i][j] = 1/indeg(i) for every in-edge j->i (self-loop included), so rows
     sum to 1; Q[i][j] = 1/outdeg(j) for every edge j->i, so columns sum to 1.
     """
+    # before any walk over range(n): a short file may declare 10**12 nodes
+    if len(g.node_kind) != g.n:
+        raise ValueError(f"node_kind has {len(g.node_kind)} entries for {g.n} nodes")
     if g.missing_self_loops():
         raise ValueError("graph must have a self-loop at every node")
     if not g.is_strongly_connected():
@@ -376,10 +380,13 @@ def validate_scenario(s: Scenario) -> list:
             f"kinds declare {n_gen_nodes} generator / {n_con_nodes} consumer nodes, "
             f"params give {len(s.generators)} / {len(s.consumers)}")
 
-    for i in s.graph.missing_self_loops():
-        add(i, "graph.self_loop", f"node {i} has no self-loop")
-    if not s.graph.is_strongly_connected():
-        add(-1, "graph.strongly_connected", "graph is not strongly connected")
+    # the walks over range(n) only once n is the number of kinds given: a
+    # short file may declare 10**12 nodes, which kinds_length already reports
+    if len(kinds) == s.graph.n:
+        for i in s.graph.missing_self_loops():
+            add(i, "graph.self_loop", f"node {i} has no self-loop")
+        if not s.graph.is_strongly_connected():
+            add(-1, "graph.strongly_connected", "graph is not strongly connected")
 
     gen_nodes = s.generator_nodes
     for j, g in enumerate(s.generators):
@@ -461,26 +468,29 @@ def validate_scenario(s: Scenario) -> list:
 # JSON scenario files
 
 
+def _plain(x):
+    """A numpy scalar as the Python int or float of the same value (json.dumps
+    takes neither np.int64 nor np.float32); any other value as given."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def scenario_to_dict(s: Scenario) -> dict:
+    def params(p):
+        return {f.name: _plain(getattr(p, f.name)) for f in fields(p)}
+
     return {
-        "generators": [
-            {"a": g.a, "b": g.b, "c": g.c, "B": g.B, "p_min": g.p_min, "p_max": g.p_max}
-            for g in s.generators
-        ],
-        "consumers": [
-            {"w": c.w, "alpha": c.alpha, "p_min": c.p_min, "p_max": c.p_max}
-            for c in s.consumers
-        ],
+        "generators": [params(g) for g in s.generators],
+        "consumers": [params(c) for c in s.consumers],
         "graph": {
-            "n": s.graph.n,
+            "n": _plain(s.graph.n),
             "kinds": [k.value for k in s.graph.node_kind],
             "edges": [[u, v] for u, v in s.graph.edges],
         },
         "weights": {"W": s.weights.W.tolist(), "Q": s.weights.Q.tolist()},
-        "eta": s.eta,
-        "eps_m": s.eps_m,
-        "eps_l": s.eps_l,
-        "max_iters": s.max_iters,
+        "eta": _plain(s.eta),
+        "eps_m": _plain(s.eps_m),
+        "eps_l": _plain(s.eps_l),
+        "max_iters": _plain(s.max_iters),
     }
 
 
@@ -533,10 +543,33 @@ def json_text(obj) -> str:
 
 
 def save_scenario(s: Scenario, path) -> None:
+    # rendered first: a scenario json.dumps cannot write leaves the file as it was
+    text = json_text(scenario_to_dict(s))
     with open(path, "w") as f:
-        f.write(json_text(scenario_to_dict(s)))
+        f.write(text)
+
+
+def read_json(path):
+    """The JSON value in file `path`, which must be UTF-8 without a BOM.
+
+    orjson parses the bytes. Only a text orjson rejects is parsed again by the
+    standard library, which also reads what json_text writes for NaN and
+    +-inf, numbers past float range (as +-inf) and lone surrogates, and which
+    raises the error a reader sees. orjson reads an integer outside
+    [-2**63, 2**64) as a float, where the standard library gives an int.
+    Nesting too deep for the standard library raises ValueError.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("JSON nesting too deep to read") from None
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as f:
-        return scenario_from_dict(json.load(f))
+    return scenario_from_dict(read_json(path))

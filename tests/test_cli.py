@@ -261,6 +261,25 @@ class TestSolveCommand:
         assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
+class TestDeeplyNestedFiles:
+    """orjson reads any depth, the standard library's fallback (a NaN
+    somewhere) hits the recursion limit: both are bad input."""
+
+    @pytest.mark.parametrize("middle", ["", "NaN"], ids=["orjson", "fallback"])
+    @pytest.mark.parametrize("role", ["scenario", "candidate"])
+    def test_exit_one_with_one_line(self, table1_file, tmp_path, capsys, role, middle):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + middle + "]" * 100_000)
+        if role == "scenario":
+            argv = ["solve", "--scenario", str(path)]
+        else:
+            argv = ["kkt", "--scenario", table1_file, "--candidate", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read {role} {str(path)!r}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 class TestKktCommand:
     def test_default_candidate_certifies(self, table1_file, tmp_path):
         out = tmp_path / "kkt.json"

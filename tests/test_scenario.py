@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,12 @@ class TestUniformWeights:
         g = Digraph(n=2, edges=[(0, 0), (1, 1), (0, 1)], node_kind=["generator", "consumer"])
         with pytest.raises(ValueError, match="strongly connected"):
             build_uniform_weights(g)
+
+
+    def test_rejects_huge_node_count_before_walking_it(self):
+        graph = Digraph(n=10**12, edges=[(0, 0)], node_kind=["generator"])
+        with pytest.raises(ValueError, match="node_kind has 1 entries for 1000000000000 nodes"):
+            build_uniform_weights(graph)
 
 
 class TestFeasibilityCondition:
@@ -323,6 +330,15 @@ class TestValidateScenario:
         s = dataclasses.replace(table1, **{field: change(table1)})
         assert rule in {v.rule for v in validate_scenario(s)}
 
+    def test_huge_node_count_is_reported_without_walking_it(self, table1):
+        # a 2 KB file may declare 10**12 nodes: only kinds_length may judge it
+        graph = Digraph(n=10**12, edges=table1.graph.edges, node_kind=table1.graph.node_kind)
+        start = time.perf_counter()
+        rules = {v.rule for v in validate_scenario(dataclasses.replace(table1, graph=graph))}
+        assert time.perf_counter() - start < 1.0
+        assert "graph.kinds_length" in rules
+        assert not rules & {"graph.self_loop", "graph.strongly_connected"}
+
     def test_ordering_deterministic(self):
         bad_gen = GeneratorParams(a=-1.0, b=5.0, c=1.0, B=0.0, p_min=-2.0, p_max=-3.0)
         con = ConsumerParams(w=-1.0, alpha=0.05, p_min=10.0, p_max=90.0)
@@ -415,6 +431,25 @@ class TestScenarioFiles:
         np.testing.assert_array_equal(again.weights.Q, table1.weights.Q)
         assert (again.eta, again.eps_m, again.eps_l, again.max_iters) == (
             table1.eta, table1.eps_m, table1.eps_l, table1.max_iters)
+
+    def test_numpy_scalars_save_as_python_numbers(self, table1, tmp_path):
+        path = tmp_path / "t1.json"
+        graph = dataclasses.replace(table1.graph, n=np.int64(4))
+        s = dataclasses.replace(table1, graph=graph, max_iters=np.int64(100), eta=np.float32(0.002))
+        assert validate_scenario(s) == []
+        save_scenario(s, path)
+        again = load_scenario(path)
+        assert (type(again.graph.n), again.graph.n) == (int, 4)
+        assert (type(again.max_iters), again.max_iters) == (int, 100)
+        assert (type(again.eta), again.eta) == (float, float(np.float32(0.002)))
+
+    def test_unwritable_scenario_leaves_the_file_as_it_was(self, table1, tmp_path):
+        path = tmp_path / "t1.json"
+        save_scenario(table1, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_scenario(dataclasses.replace(table1, eta=Fraction(1, 500)), path)
+        assert path.read_bytes() == before
 
     def test_round_trip_dict(self, table1):
         d = scenario_to_dict(table1)
