@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Union
 
 import numpy as np
@@ -495,9 +496,11 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def _exact_int(x):
-    """An integral float as int; any other value as given, for validate_scenario
-    to judge (int() would load 2.5 as 2 and "10" as 10)."""
-    if isinstance(x, float) and x.is_integer():
+    """An integral float below 2**63 in magnitude as int; any other value as
+    given, for validate_scenario to judge (int() would load 2.5 as 2 and "10"
+    as 10). Larger floats stay floats: read_json gives one for an integer
+    literal past the 64-bit range, and int() of it would change the number."""
+    if isinstance(x, float) and x.is_integer() and abs(x) < 2.0 ** 63:
         return int(x)
     return x
 
@@ -549,6 +552,26 @@ def save_scenario(s: Scenario, path) -> None:
         f.write(text)
 
 
+MAX_JSON_DEPTH = 1024
+# every byte but the quote and the brackets of arrays and objects
+_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'"[]{}')
+# a string once only quotes and brackets are left; one left open runs to the end
+_STRING = re.compile(rb'"[^"]*"?')
+_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+
+
+def _json_depth(data: bytes) -> int:
+    """How deeply arrays and objects nest in the JSON text `data`, brackets
+    inside strings not counted. On invalid text it is at least the depth a
+    parser reaches before it stops, which reads the same tokens up to there."""
+    if b"\\" in data:
+        # escaped backslashes go first, then escaped quotes: the quotes left
+        # open and close strings
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    brackets = _STRING.sub(b"", data.translate(None, _NOT_STRUCTURE))
+    return max(accumulate(map(_STEP.__getitem__, brackets), initial=0))
+
+
 def read_json(path):
     """The JSON value in file `path`, which must be UTF-8 without a BOM.
 
@@ -557,10 +580,15 @@ def read_json(path):
     +-inf, numbers past float range (as +-inf) and lone surrogates, and which
     raises the error a reader sees. orjson reads an integer outside
     [-2**63, 2**64) as a float, where the standard library gives an int.
-    Nesting too deep for the standard library raises ValueError.
+    Arrays and objects nested deeper than MAX_JSON_DEPTH raise ValueError
+    before either parser runs (orjson before 3.9.15 recurses without a limit
+    and overflows the native stack), as does nesting too deep for the
+    standard library's recursion limit.
     """
     with open(path, "rb") as f:
         data = f.read()
+    if _json_depth(data) > MAX_JSON_DEPTH:
+        raise ValueError("JSON nesting too deep to read")
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError:

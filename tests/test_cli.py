@@ -262,8 +262,8 @@ class TestSolveCommand:
 
 
 class TestDeeplyNestedFiles:
-    """orjson reads any depth, the standard library's fallback (a NaN
-    somewhere) hits the recursion limit: both are bad input."""
+    """Nesting past scenario.MAX_JSON_DEPTH is bad input, whichever parser
+    would read the file (a NaN sends it to the standard library's)."""
 
     @pytest.mark.parametrize("middle", ["", "NaN"], ids=["orjson", "fallback"])
     @pytest.mark.parametrize("role", ["scenario", "candidate"])

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cemasim import load_scenario, presets, scenario_from_dict, scenario_to_dict
-from cemasim.scenario import json_text, read_json, save_scenario
+from cemasim.scenario import MAX_JSON_DEPTH, _json_depth, json_text, read_json, save_scenario
+from cemasim.scenario import validate_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 INT64_MIN, UINT64_END = -(2 ** 63), 2 ** 64
@@ -105,6 +106,11 @@ class TestSameValuesAsTheStandardLibrary:
         except (ValueError, RecursionError):
             # ValueError: an int literal of more than 4300 digits
             return
+        if _json_depth(text.encode("utf-8")) > MAX_JSON_DEPTH:
+            # only where the recursion limit lets json read that deep
+            with pytest.raises(ValueError, match="nesting too deep"):
+                read_json(json_file)
+            return
         assert _canon(read_json(json_file)) == _canon(want)
 
     def test_every_fallback_literal(self, json_file):
@@ -140,8 +146,13 @@ class TestIntegerDivergence:
 
     def test_in_a_scenario_file(self, json_file):
         text = json_text(scenario_to_dict(presets.table1_scenario()))
+        # a max_iters past the range fails validation instead of loading rounded
         json_file.write_text(text.replace('"max_iters": 200000', '"max_iters": 100000000000000000001'))
-        assert load_scenario(json_file).max_iters == 10 ** 20
+        s = load_scenario(json_file)
+        assert type(s.max_iters) is float
+        assert [v.rule for v in validate_scenario(s)] == ["scenario.max_iters"]
+        json_file.write_text(text.replace('"max_iters": 200000', '"max_iters": 9223372036854775807'))
+        assert load_scenario(json_file).max_iters == 2 ** 63 - 1
         json_file.write_text(text.replace('"n": 4', '"n": 18446744073709551616'))
         with pytest.raises(ValueError, match="graph node count 1.8446744073709552e"):
             load_scenario(json_file)
@@ -162,17 +173,61 @@ class TestReadErrors:
         # the standard library's error, message included
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
-    def test_deep_nesting_orjson_reads(self, json_file):
-        json_file.write_text("[" * 100_000 + "]" * 100_000)
-        depth, x = 0, read_json(json_file)
-        while x:
-            depth, x = depth + 1, x[0]
-        assert depth == 100_000 - 1
-
     def test_deep_nesting_in_the_fallback_is_a_value_error(self, json_file):
         json_file.write_text("[" * 100_000 + "NaN" + "]" * 100_000)
         with pytest.raises(ValueError, match="nesting too deep"):
             read_json(json_file)
+
+
+def _nested_depth(x):
+    """Levels of a chain of arrays or objects, each holding the next first."""
+    depth = 0
+    while isinstance(x, (list, dict)):
+        depth += 1
+        x = next(iter(x.values() if isinstance(x, dict) else x), None)
+    return depth
+
+
+class TestNestingLimit:
+    """Nesting deeper than MAX_JSON_DEPTH is a ValueError before orjson runs,
+    which before version 3.9.15 overflows the native stack near 200 000
+    levels; shallower nesting reads under any orjson version."""
+
+    @pytest.mark.parametrize("depth", [MAX_JSON_DEPTH + 1, 100_000, 1_000_000])
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "unclosed"])
+    def test_too_deep_is_a_value_error(self, json_file, depth, closed):
+        json_file.write_text("[" * depth + "]" * (depth if closed else 0))
+        with pytest.raises(ValueError, match="nesting too deep"):
+            read_json(json_file)
+
+    @pytest.mark.parametrize("open_, close", [("[", "]"), ('{"a":', "}")], ids=["array", "object"])
+    @pytest.mark.parametrize("middle", ["1", "NaN"], ids=["orjson", "fallback"])
+    def test_shallow_enough_reads(self, json_file, open_, close, middle):
+        json_file.write_text(open_ * 900 + middle + close * 900)
+        assert _nested_depth(read_json(json_file)) == 900
+
+    @pytest.mark.parametrize("middle", ["", "NaN"], ids=["orjson", "fallback"])
+    def test_near_the_limit_reads_or_is_a_value_error(self, json_file, middle):
+        # the standard library's recursion limit sits near 1000 levels and
+        # orjson 3.9.15 and later stops at 1024: the file reads or is refused
+        json_file.write_text("[" * MAX_JSON_DEPTH + middle + "]" * MAX_JSON_DEPTH)
+        try:
+            got = read_json(json_file)
+        except ValueError as e:
+            assert str(e) == "JSON nesting too deep to read"
+        else:
+            assert _nested_depth(got) == MAX_JSON_DEPTH
+
+    @pytest.mark.parametrize("text, depth", [
+        ('["' + "[" * 1_000_000 + '"]', 1),
+        ('["\\"' + "[" * 1_000_000 + '"]', 1),
+        ('[{"k]}": "\\\\", "v": [["\\u005d"]]}]', 4),
+        ('["\\\\", ' + "[" * 3 + "]" * 4, 4),
+        ('"\\n"', 0),
+    ], ids=["in-a-string", "after-an-escaped-quote", "escapes", "after-an-escaped-backslash", "no-array"])
+    def test_brackets_in_strings_do_not_count(self, text, depth):
+        assert _json_depth(text.encode()) == depth
+        assert _json_depth(text.encode()) == _json_depth(json.dumps(json.loads(text)).encode())
 
 
 def _bench_inputs():
