@@ -112,7 +112,7 @@ def _price_spread(prices: np.ndarray, interior: np.ndarray) -> float:
 
 
 def _run_summary(scenario: Scenario, result: engine.RunResult) -> dict:
-    final = result.trace[-1]
+    final = result.final
     P, lam = final.P, final.lam
     P_gen = P[list(scenario.generator_nodes)]
     interior = np.array(
@@ -162,11 +162,20 @@ def cmd_run(args) -> int:
     variants = engine.VARIANTS if args.variant == "both" else (args.variant,)
     status = EXIT_OK
     for variant in variants:
-        result = engine.run(scenario, variant, trace_stride=args.trace_stride)
+        # each kept round's rows are written as the engine makes them
+        with (_writing(args.output_dir),
+              open(out_dir / f"trace_{variant}.csv", "w", newline="") as trace_file,
+              open(out_dir / f"rounds_{variant}.csv", "w", newline="") as rounds_file):
+            write_trace = engine.trace_writer(scenario, trace_file)
+            write_rounds = engine.round_summary_writer(rounds_file)
+
+            def sink(rec):
+                write_trace(rec)
+                write_rounds(rec)
+
+            result = engine.run(scenario, variant, trace_stride=args.trace_stride, sink=sink)
         summary = _run_summary(scenario, result)
         with _writing(args.output_dir):
-            engine.write_trace_csv(result, scenario, out_dir / f"trace_{variant}.csv")
-            engine.write_round_summary_csv(result, out_dir / f"rounds_{variant}.csv")
             (out_dir / f"report_{variant}.json").write_text(json_text(summary))
         print(
             f"[{variant}] terminated={summary['terminated']} rounds={summary['rounds']} "

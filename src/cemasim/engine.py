@@ -55,26 +55,29 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    trace: list
+    # the kept records, or None when `run` handed them to a sink
+    trace: list | None
     terminated: str
     variant: str
     rounds: int
     # largest per-round |sum(xi) - mismatch| seen, tracked even when the
     # trace is strided
     max_conservation_gap: float
+    # the last round's record, which every sink also received last
+    final: IterationRecord
 
-    # the trace always ends with the final round; copies keep it unmutated
+    # copies keep the final record unmutated
     @property
     def final_lambda(self) -> np.ndarray:
-        return self.trace[-1].lam.copy()
+        return self.final.lam.copy()
 
     @property
     def final_P(self) -> np.ndarray:
-        return self.trace[-1].P.copy()
+        return self.final.P.copy()
 
     @property
     def final_xi(self) -> np.ndarray:
-        return self.trace[-1].xi.copy()
+        return self.final.xi.copy()
 
 
 def mismatch(P: np.ndarray, scenario: Scenario) -> float:
@@ -100,12 +103,14 @@ def power_step(scenario: Scenario, variant: str, new_lambdas: np.ndarray) -> np.
     return best_response.responses(scenario.agents, new_lambdas, gen_resp)
 
 
-def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
+def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> RunResult:
     """Execute the full iteration until tolerance, divergence or the cap.
 
     Deterministic: fixed node order, no randomness, snapshot semantics. The
-    trace always contains the k = 0 initialization row and the final row;
-    intermediate rows are kept every `trace_stride` rounds.
+    kept rounds are the k = 0 initialization, every `trace_stride`-th round
+    and the final round; each kept round's IterationRecord goes to
+    `sink(record)` as soon as it is made. With no sink they are collected in
+    `RunResult.trace`.
     """
     violations = validate_scenario(scenario)
     if violations:
@@ -113,11 +118,16 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     best_response.variant_pair(variant)
     if not (is_integer(trace_stride) and trace_stride >= 1):
         raise ValueError("trace_stride must be an integer >= 1")
+    trace = None
+    if sink is None:
+        trace = []
+        sink = trace.append
 
     n = scenario.n_nodes
     W = scenario.weights.W
     Q = scenario.weights.Q
     eta, eps_m, eps_l = scenario.eta, scenario.eps_m, scenario.eps_l
+    max_iters = scenario.max_iters
     agents = scenario.agents
     sign = agents.sign
     # the ufuncs' own reductions: the np.max/np.sum wrappers cost more than
@@ -134,13 +144,20 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
     spread = float(amax(lam) - amin(lam))
     max_abs_xi = 0.0
 
-    # every round binds fresh arrays and none is mutated afterwards, so a
-    # record can hold them without copying
-    trace = [IterationRecord(0, lam, P, xi, mism, spread, max_abs_xi)]
-    terminated = TERMINATED_BY_MAX_ITERS
+    terminated = None
     max_gap = 0.0
+    k = 0
+    while True:
+        # the one emit site: round k's state is bound here on every path.
+        # Every round binds fresh arrays and none is mutated afterwards, so a
+        # record can hold them without copying
+        if terminated or k % trace_stride == 0:
+            final = IterationRecord(k, lam, P, xi, mism, spread, max_abs_xi)
+            sink(final)
+        if terminated:
+            break
+        k += 1
 
-    for k in range(1, scenario.max_iters + 1):
         lam_new = lambda_step(lam, xi, W, eta)
         # one max/min pair is both the finiteness test and the spread: NaN
         # propagates through both, and +-inf shows in one of them
@@ -151,7 +168,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
             # here, its record holds the new prices and the state they mixed
             lam = lam_new
             terminated = TERMINATED_DIVERGED
-            break
+            continue
         P_new = power_step(scenario, variant, lam_new)
         snet_new = sign * agents.net(P_new)
         xi_new = Q @ xi + (snet_new - snet)
@@ -167,15 +184,9 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
             terminated = TERMINATED_DIVERGED
         elif max_abs_xi <= eps_m and amax(np.abs(lam_new - lam)) <= eps_l:
             terminated = TERMINATED_BY_TOLERANCE
+        elif k == max_iters:
+            terminated = TERMINATED_BY_MAX_ITERS
         lam, P, xi, snet = lam_new, P_new, xi_new, snet_new
-        if terminated != TERMINATED_BY_MAX_ITERS:
-            break
-        if k % trace_stride == 0:
-            trace.append(IterationRecord(k, lam, P, xi, mism, spread, max_abs_xi))
-
-    # every exit leaves round k's state bound: it is the final record
-    if trace[-1].k != k:
-        trace.append(IterationRecord(k, lam, P, xi, mism, spread, max_abs_xi))
 
     return RunResult(
         trace=trace,
@@ -183,6 +194,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
         variant=variant,
         rounds=k,
         max_conservation_gap=max_gap,
+        final=final,
     )
 
 
@@ -190,33 +202,59 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1) -> RunResult:
 # trace serialization, 17 significant digits throughout
 #
 # Rows end in CRLF, the csv module's default line ending. "%.17g" % x and
-# f"{x:.17g}" go through the same float formatter. One kept round is one
-# %-operation on a per-file template and one write: nothing holds more than a
-# round, so memory stays flat in the number of rounds.
+# f"{x:.17g}" go through the same float formatter. Each file has one writer,
+# which writes the header and returns a sink for `run`: one kept round is one
+# %-operation on a per-file template and one write. The CLI passes the sinks
+# to `run`, so rows are streamed as rounds are kept and memory stays flat in
+# the number of rounds; the write_* functions feed them an in-memory trace.
 
 
-def write_trace_csv(result: RunResult, scenario: Scenario, path) -> None:
-    """One row per (round, node): k,node_id,kind,lambda,P,xi."""
+def trace_writer(scenario: Scenario, f):
+    """Writes the trace header to text file `f` (opened with newline="");
+    returns a sink writing a record's rows, one per node:
+    k,node_id,kind,lambda,P,xi."""
     n = scenario.n_nodes
     template = "".join(
         f"%d,{i},{kind.value},%.17g,%.17g,%.17g\r\n"
         for i, kind in enumerate(scenario.graph.node_kind)
     )
     fields = [0] * (4 * n)
+    f.write("k,node_id,kind,lambda,P,xi\r\n")
+
+    def write(rec: IterationRecord) -> None:
+        fields[0::4] = [rec.k] * n
+        fields[1::4] = rec.lam.tolist()
+        fields[2::4] = rec.P.tolist()
+        fields[3::4] = rec.xi.tolist()
+        f.write(template % tuple(fields))
+
+    return write
+
+
+def round_summary_writer(f):
+    """Writes the round-summary header to text file `f` (opened with
+    newline=""); returns a sink writing a record's one row:
+    k,mismatch,lambda_spread,max_abs_xi."""
+    f.write("k,mismatch,lambda_spread,max_abs_xi\r\n")
+
+    def write(rec: IterationRecord) -> None:
+        f.write("%d,%.17g,%.17g,%.17g\r\n"
+                % (rec.k, rec.mismatch, rec.lambda_spread, rec.max_abs_xi))
+
+    return write
+
+
+def write_trace_csv(result: RunResult, scenario: Scenario, path) -> None:
+    """The trace CSV of a run that kept its records in `result.trace`."""
     with open(path, "w", newline="") as f:
-        f.write("k,node_id,kind,lambda,P,xi\r\n")
+        write = trace_writer(scenario, f)
         for rec in result.trace:
-            fields[0::4] = [rec.k] * n
-            fields[1::4] = rec.lam.tolist()
-            fields[2::4] = rec.P.tolist()
-            fields[3::4] = rec.xi.tolist()
-            f.write(template % tuple(fields))
+            write(rec)
 
 
 def write_round_summary_csv(result: RunResult, path) -> None:
-    """One row per round: k,mismatch,lambda_spread,max_abs_xi."""
+    """The round-summary CSV of a run that kept its records in `result.trace`."""
     with open(path, "w", newline="") as f:
-        f.write("k,mismatch,lambda_spread,max_abs_xi\r\n")
+        write = round_summary_writer(f)
         for rec in result.trace:
-            f.write("%d,%.17g,%.17g,%.17g\r\n"
-                    % (rec.k, rec.mismatch, rec.lambda_spread, rec.max_abs_xi))
+            write(rec)

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import re
+import reprlib
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -29,6 +30,13 @@ STOCHASTIC_TOL = 1e-12
 class NodeKind(str, Enum):
     GENERATOR = "generator"
     CONSUMER = "consumer"
+
+
+def _node_kind(k) -> NodeKind:
+    """NodeKind(k), whose own error message would print k in full."""
+    if not (isinstance(k, str) and k in {kind.value for kind in NodeKind}):
+        raise ValueError(f"{reprlib.repr(k)} is not a valid NodeKind")
+    return NodeKind(k)
 
 
 @dataclass(frozen=True)
@@ -130,9 +138,11 @@ class Digraph:
     node_kind: tuple
 
     def __post_init__(self):
-        # range(n) would take neither 4.0 nor, as a count, true
+        # range(n) would take neither 4.0 nor, as a count, true. Messages
+        # print values through reprlib: a value read from a file may be a list
+        # nested a thousand deep, whose full repr exceeds the recursion limit
         if not is_integer(self.n):
-            raise ValueError(f"graph node count {self.n!r} is not an integer")
+            raise ValueError(f"graph node count {reprlib.repr(self.n)} is not an integer")
         if self.n < 1:
             raise ValueError("graph needs at least one node")
         given = tuple(self.edges)
@@ -149,13 +159,14 @@ class Digraph:
             for u, v in given:
                 # int() would load 1.7 and true as 1
                 if not (is_integer(u) and is_integer(v)):
-                    raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+                    raise ValueError(f"edge ({reprlib.repr(u)}, {reprlib.repr(v)}) "
+                                     "has a non-integer endpoint")
             for u, v in given:
                 if not (0 <= u < self.n and 0 <= v < self.n):
                     raise ValueError(f"edge ({u}, {v}) out of range for {self.n} nodes")
         # numpy ints as Python ints
         object.__setattr__(self, "edges", tuple([(int(u), int(v)) for u, v in edges]))
-        object.__setattr__(self, "node_kind", tuple(NodeKind(k) for k in self.node_kind))
+        object.__setattr__(self, "node_kind", tuple(map(_node_kind, self.node_kind)))
 
     def missing_self_loops(self) -> list:
         """Nodes without a self-loop, in node order."""
@@ -453,14 +464,17 @@ def validate_scenario(s: Scenario) -> list:
                 add(int(i), f"weights.{name}_sparsity",
                     f"{name}[{i}][{j}] > 0 without edge {j}->{i}")
 
+    # a constant read from a file may be a list nested a thousand deep, whose
+    # full repr exceeds the recursion limit
     if not (_finite(s.eta) and 0 < s.eta < 1):
-        add(-1, "scenario.eta", f"eta = {s.eta} must satisfy 0 < eta < 1")
+        add(-1, "scenario.eta", f"eta = {reprlib.repr(s.eta)} must satisfy 0 < eta < 1")
     if not (_finite(s.eps_m) and s.eps_m > 0):
-        add(-1, "scenario.eps_m", f"eps_m = {s.eps_m} must be > 0")
+        add(-1, "scenario.eps_m", f"eps_m = {reprlib.repr(s.eps_m)} must be > 0")
     if not (_finite(s.eps_l) and s.eps_l > 0):
-        add(-1, "scenario.eps_l", f"eps_l = {s.eps_l} must be > 0")
+        add(-1, "scenario.eps_l", f"eps_l = {reprlib.repr(s.eps_l)} must be > 0")
     if not (is_integer(s.max_iters) and s.max_iters >= 1):
-        add(-1, "scenario.max_iters", f"max_iters = {s.max_iters!r} must be an integer >= 1")
+        add(-1, "scenario.max_iters",
+            f"max_iters = {reprlib.repr(s.max_iters)} must be an integer >= 1")
 
     return sorted(out)
 
@@ -517,7 +531,7 @@ def scenario_from_dict(d: dict) -> Scenario:
     gd = d["graph"]
     if isinstance(gd, dict) and "preset" in gd:
         if gd["preset"] != "ring4":
-            raise ValueError(f"unknown graph preset {gd['preset']!r}")
+            raise ValueError(f"unknown graph preset {reprlib.repr(gd['preset'])}")
         if len(generators) + len(consumers) != 4:
             raise ValueError("graph preset 'ring4' needs exactly 4 agents")
         graph = ring_digraph(len(generators), len(consumers))

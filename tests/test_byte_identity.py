@@ -6,9 +6,17 @@ recorded before the trace writers dropped `csv.writer`; the brute-force grid,
 `gen-scenario` and `counterexample` digests were recorded before the loss
 model moved into `GeneratorParams`; the `kkt` stdout digest was recorded
 before the CLI's JSON writers became one helper; the diverged-run digests
-were recorded before `engine.run` appended its final record at one site. A
+were recorded before `engine.run` appended its final record at one site;
+every `run` digest was recorded before `run` streamed its rows to the CSVs. A
 change to any number, its 17-digit formatting, the order of a sum or the
 layout of a report shows up here.
+
+The `run` digests hold on numpy's OpenBLAS kernels with fused multiply-add.
+Run with `OPENBLAS_CORETYPE` set on an AVX-512 Xeon, they pass under the
+default kernel, SkylakeX, Haswell, Zen, Cooperlake and SapphireRapids, and
+all five fail under Sandybridge, Nehalem, Prescott and Atom, whose matvecs
+`W @ lam` and `Q @ xi` round differently. Every other pin passes under all
+of them: the oracle never calls BLAS.
 """
 
 import hashlib

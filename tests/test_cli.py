@@ -1,7 +1,10 @@
 """CLI contract: subcommands, exit codes, file outputs, determinism."""
 
+import dataclasses
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from cemasim import (
@@ -10,6 +13,7 @@ from cemasim import (
     GeneratorParams,
     Scenario,
     build_uniform_weights,
+    engine,
     load_scenario,
     save_scenario,
     scenario_to_dict,
@@ -220,6 +224,92 @@ class TestRunCommand:
         assert original["terminated"] == "by-max-iters"
 
 
+def _overflow_file(directory):
+    """A valid scenario whose net injection overflows float range once the
+    generator is pushed to its cap: both variants end `diverged` at round 1."""
+    graph = ring_digraph(1, 1)
+    s = Scenario(
+        generators=(GeneratorParams(a=1e-170, b=1.0, c=0.0, B=1e-170, p_min=1.0, p_max=1e160),),
+        consumers=(ConsumerParams(w=1e155, alpha=1e-10, p_min=1e150, p_max=1e155),),
+        graph=graph, weights=build_uniform_weights(graph),
+        eta=0.002, eps_m=1e-8, eps_l=1e-8, max_iters=50,
+    )
+    path = directory / "overflow.json"
+    save_scenario(s, path)
+    return str(path)
+
+
+class TestStreamedRunOutputs:
+    """`run` streams each kept round's rows to its CSVs while the engine runs;
+    the files equal the in-memory writers' output, and memory is flat in
+    rounds."""
+
+    # each ending gets a stride that divides its last round and one that
+    # does not; `last` is the last round of (original, corrected)
+    @pytest.mark.parametrize("case, stride, overrides, ended, last", [
+        ("table1", 1, {}, "by-tolerance", (284, 254)),
+        ("table1", 7, {}, "by-tolerance", (284, 254)),
+        ("table1", 127, {}, "by-tolerance", (284, 254)),
+        ("table1", 10, {"max_iters": 100}, "by-max-iters", (100, 100)),
+        ("table1", 30, {"max_iters": 100}, "by-max-iters", (100, 100)),
+        # the |xi| guard
+        ("overflow", 1, {}, "diverged", (1, 1)),
+        ("overflow", 3, {}, "diverged", (1, 1)),
+        # a non-finite mixed price, made by hand below
+        ("non-finite-price", 2, {}, "diverged", (2, 2)),
+        ("non-finite-price", 3, {}, "diverged", (2, 2)),
+    ])
+    def test_streamed_files_equal_the_in_memory_writers(self, table1_file, tmp_path,
+                                                         monkeypatch, case, stride,
+                                                         overrides, ended, last):
+        path = _overflow_file(tmp_path) if case == "overflow" else table1_file
+        if case == "non-finite-price":
+            mix = engine.lambda_step
+
+            def lambda_step(lam, xi, W, eta):
+                # round 1 mixes the all-zero surplus, round 2 the first non-zero one
+                out = mix(lam, xi, W, eta)
+                if xi.any():
+                    out[1] = np.inf
+                return out
+
+            monkeypatch.setattr(engine, "lambda_step", lambda_step)
+        streamed, kept = tmp_path / "streamed", tmp_path / "kept"
+        kept.mkdir()
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in overrides.items()]
+        assert main(["run", "--scenario", path, "--variant", "both", "--output-dir",
+                     str(streamed), "--trace-stride", str(stride), *flags]) == (
+            0 if ended == "by-tolerance" else 2)
+        scenario = dataclasses.replace(load_scenario(path), **overrides)
+        assert engine.VARIANTS == ("original", "corrected")
+        for variant, rounds in zip(engine.VARIANTS, last):
+            result = engine.run(scenario, variant, trace_stride=stride)
+            assert (result.terminated, result.rounds) == (ended, rounds)
+            assert result.trace[-1] is result.final
+            engine.write_trace_csv(result, scenario, kept / f"trace_{variant}.csv")
+            engine.write_round_summary_csv(result, kept / f"rounds_{variant}.csv")
+            for name in (f"trace_{variant}.csv", f"rounds_{variant}.csv"):
+                assert (streamed / name).read_bytes() == (kept / name).read_bytes()
+
+    def test_peak_memory_flat_in_rounds(self, table1_file, tmp_path):
+        # tolerances table1 cannot meet, so both variants run to the cap.
+        # Holding the kept rounds costs about 1.2 MB more at 10x the rounds;
+        # streaming them leaves a few kB
+        def peak(rounds):
+            argv = ["run", "--scenario", table1_file, "--variant", "both",
+                    "--output-dir", str(tmp_path / str(rounds)), "--eps-m", "1e-300",
+                    "--eps-l", "1e-300", "--max-iters", str(rounds)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 2
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-use allocations out of the comparison
+        assert peak(1000) - peak(100) <= 64 * 1024
+
+
 class TestSolveCommand:
     def test_table1_certifies(self, table1_file):
         assert main(["solve", "--scenario", table1_file]) == 0
@@ -277,6 +367,31 @@ class TestDeeplyNestedFiles:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"cannot read {role} {str(path)!r}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("where, depth", [
+        ("eta", 1020), ("max_iters", 1020), ("graph.n", 1020), ("kind", 1020),
+        ("edge", 1019), ("preset", 1020),
+    ])
+    def test_deep_value_within_the_limit_exits_one(self, tmp_path, capsys, where, depth):
+        # the file reads, and the message naming the value prints a bounded
+        # repr of it: the full repr would exceed the recursion limit
+        d = scenario_to_dict(table1_scenario())
+        if where == "graph.n":
+            d["graph"]["n"] = "DEEP"
+        elif where == "kind":
+            d["graph"]["kinds"][0] = "DEEP"
+        elif where == "edge":
+            d["graph"]["edges"][0] = ["DEEP", 0]
+        elif where == "preset":
+            d["graph"] = {"preset": "DEEP"}
+        else:
+            d[where] = "DEEP"
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(d).replace('"DEEP"', "[" * depth + "]" * depth))
+        assert main(["solve", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "[[[[[[[...]]]]]]]" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 

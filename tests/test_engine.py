@@ -422,7 +422,8 @@ class TestTraceSerialization:
                 1e16 + 2, float("-inf")),
         ]
         result = RunResult(trace=trace, terminated=TERMINATED_BY_MAX_ITERS,
-                           variant="corrected", rounds=10**6 + 3, max_conservation_gap=0.0)
+                           variant="corrected", rounds=10**6 + 3, max_conservation_gap=0.0,
+                           final=trace[-1])
         write_trace_csv(result, table1, tmp_path / "trace.csv")
         write_round_summary_csv(result, tmp_path / "rounds.csv")
 
