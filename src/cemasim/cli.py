@@ -259,14 +259,13 @@ def _counterexample_payload(scenario: Scenario) -> tuple:
 
     variants = {}
     for variant in engine.VARIANTS:
-        # only the final record is read: keep k = 0 and the last round
-        result = engine.run(scenario, variant, trace_stride=scenario.max_iters)
+        result = engine.run(scenario, variant)
         summary = _run_summary(scenario, result)
         keys = ["terminated", "rounds", "lambda_spread", "final_P", "mismatch"]
-        entry = {"lambda_consensus": float(result.final_lambda.mean())}
+        entry = {"lambda_consensus": float(result.final.lam.mean())}
         if result.terminated == engine.TERMINATED_BY_TOLERANCE:
             keys += [f"implied_prices_{v}" for v in engine.VARIANTS]
-            report = oracle.kkt_check(result.final_P, entry["lambda_consensus"], scenario)
+            report = oracle.kkt_check(result.final.P, entry["lambda_consensus"], scenario)
             entry["kkt_max_residual"] = report.max_residual
             entry["kkt_generator_stationarity"] = np.abs(report.stationarity[gen_nodes]).tolist()
         variants[variant] = entry | {k: summary[k] for k in keys}

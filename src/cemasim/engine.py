@@ -55,29 +55,14 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    # the kept records, or None when `run` handed them to a sink
-    trace: list | None
     terminated: str
     variant: str
     rounds: int
     # largest per-round |sum(xi) - mismatch| seen, tracked even when the
     # trace is strided
     max_conservation_gap: float
-    # the last round's record, which every sink also received last
+    # the last round's record, which a sink also received last
     final: IterationRecord
-
-    # copies keep the final record unmutated
-    @property
-    def final_lambda(self) -> np.ndarray:
-        return self.final.lam.copy()
-
-    @property
-    def final_P(self) -> np.ndarray:
-        return self.final.P.copy()
-
-    @property
-    def final_xi(self) -> np.ndarray:
-        return self.final.xi.copy()
 
 
 def mismatch(P: np.ndarray, scenario: Scenario) -> float:
@@ -109,8 +94,8 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
     Deterministic: fixed node order, no randomness, snapshot semantics. The
     kept rounds are the k = 0 initialization, every `trace_stride`-th round
     and the final round; each kept round's IterationRecord goes to
-    `sink(record)` as soon as it is made. With no sink they are collected in
-    `RunResult.trace`.
+    `sink(record)` as soon as it is made. With no sink only the final round
+    is recorded, as `RunResult.final`.
     """
     violations = validate_scenario(scenario)
     if violations:
@@ -118,10 +103,6 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
     best_response.variant_pair(variant)
     if not (is_integer(trace_stride) and trace_stride >= 1):
         raise ValueError("trace_stride must be an integer >= 1")
-    trace = None
-    if sink is None:
-        trace = []
-        sink = trace.append
 
     n = scenario.n_nodes
     W = scenario.weights.W
@@ -150,10 +131,12 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
     while True:
         # the one emit site: round k's state is bound here on every path.
         # Every round binds fresh arrays and none is mutated afterwards, so a
-        # record can hold them without copying
-        if terminated or k % trace_stride == 0:
+        # record can hold them without copying. With no sink only the final
+        # round gets a record
+        if terminated or sink is not None and k % trace_stride == 0:
             final = IterationRecord(k, lam, P, xi, mism, spread, max_abs_xi)
-            sink(final)
+            if sink is not None:
+                sink(final)
         if terminated:
             break
         k += 1
@@ -189,7 +172,6 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
         lam, P, xi, snet = lam_new, P_new, xi_new, snet_new
 
     return RunResult(
-        trace=trace,
         terminated=terminated,
         variant=variant,
         rounds=k,
@@ -206,7 +188,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
 # which writes the header and returns a sink for `run`: one kept round is one
 # %-operation on a per-file template and one write. The CLI passes the sinks
 # to `run`, so rows are streamed as rounds are kept and memory stays flat in
-# the number of rounds; the write_* functions feed them an in-memory trace.
+# the number of rounds.
 
 
 def trace_writer(scenario: Scenario, f):
@@ -243,18 +225,3 @@ def round_summary_writer(f):
 
     return write
 
-
-def write_trace_csv(result: RunResult, scenario: Scenario, path) -> None:
-    """The trace CSV of a run that kept its records in `result.trace`."""
-    with open(path, "w", newline="") as f:
-        write = trace_writer(scenario, f)
-        for rec in result.trace:
-            write(rec)
-
-
-def write_round_summary_csv(result: RunResult, path) -> None:
-    """The round-summary CSV of a run that kept its records in `result.trace`."""
-    with open(path, "w", newline="") as f:
-        write = round_summary_writer(f)
-        for rec in result.trace:
-            write(rec)

@@ -224,6 +224,9 @@ class KktReport:
         }
 
 
+# a non-finite or huge candidate overflows or meets inf - inf: the report
+# carries the inf and NaN residuals, and no warning escapes
+@np.errstate(over="ignore", invalid="ignore")
 def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
               tol: float = CERTIFY_TOL) -> KktReport:
     """Certify a candidate (P, lam) against the first-order conditions.

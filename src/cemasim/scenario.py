@@ -168,6 +168,14 @@ class Digraph:
         object.__setattr__(self, "edges", tuple([(int(u), int(v)) for u, v in edges]))
         object.__setattr__(self, "node_kind", tuple(map(_node_kind, self.node_kind)))
 
+    def adjacency(self) -> np.ndarray:
+        """The n x n boolean matrix with [v, u] set for each edge (u, v): the
+        entries a weight matrix may fill, since its [i][j] carries j -> i."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        adj[v, u] = True
+        return adj
+
     def missing_self_loops(self) -> list:
         """Nodes without a self-loop, in node order."""
         loops = {u for u, v in self.edges if u == v}
@@ -339,9 +347,7 @@ def build_uniform_weights(g: Digraph) -> WeightMatrices:
         raise ValueError("graph must have a self-loop at every node")
     if not g.is_strongly_connected():
         raise ValueError("graph must be strongly connected")
-    adj = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        adj[v, u] = 1.0
+    adj = g.adjacency().astype(float)
     W = adj / adj.sum(axis=1, keepdims=True)
     Q = adj / adj.sum(axis=0, keepdims=True)
     return WeightMatrices(W=W, Q=Q)
@@ -453,10 +459,8 @@ def validate_scenario(s: Scenario) -> list:
         for j in np.nonzero(col_err > STOCHASTIC_TOL)[0]:
             add(int(j), "weights.Q_col_stochastic",
                 f"column {j} of Q sums to {Q[:, j].sum()!r}, off by {col_err[j]:.3e}")
-        # entry [i][j] carries j -> i, so it needs edge (j, i) or i == j
-        no_edge = ~np.eye(n, dtype=bool)
-        for u, v in s.graph.edges:
-            no_edge[v, u] = False
+        # entry [i][j] needs edge (j, i) or i == j
+        no_edge = ~(s.graph.adjacency() | np.eye(n, dtype=bool))
         for name, M in (("W", W), ("Q", Q)):
             if not np.all(np.isfinite(M)):
                 add(-1, "weights.finite", f"{name} has non-finite entries")

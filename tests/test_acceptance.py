@@ -44,6 +44,7 @@ from conftest import (
     golden_section_argmin,
 )
 from test_best_response import _random_consumer, _random_generator
+from test_engine import _kept
 
 N_RANDOM_SCENARIOS = 50
 N_RESPONSE_DRAWS = 10_000
@@ -61,7 +62,8 @@ def oracle_solution(table1):
 
 @pytest.fixture(scope="module")
 def table1_runs(table1):
-    return {variant: run(table1, variant) for variant in ("original", "corrected")}
+    """{variant: (result, every round's record)}"""
+    return {variant: _kept(table1, variant) for variant in ("original", "corrected")}
 
 
 @pytest.fixture(scope="module")
@@ -72,11 +74,13 @@ def gain_005_run(table1):
 
 @pytest.fixture(scope="module")
 def random_runs():
+    """(seed, scenario, result, kept records); the first ten seeds keep every
+    round."""
     out = []
     for seed in range(N_RANDOM_SCENARIOS):
         scenario = random_scenario(seed)
         stride = 1 if seed < 10 else 100
-        out.append((seed, scenario, run(scenario, "corrected", trace_stride=stride)))
+        out.append((seed, scenario, *_kept(scenario, "corrected", trace_stride=stride)))
     return out
 
 
@@ -169,15 +173,15 @@ class TestA3BalanceAndConsensus:
         )
 
     def test_a3_balance_and_consensus_at_preset_gain(self, table1, table1_runs):
-        result = table1_runs["corrected"]
+        result, _ = table1_runs["corrected"]
         from cemasim import mismatch
 
         checks = {
             "terminates by tolerance": result.terminated == "by-tolerance",
             "rounds <= 200000": result.rounds <= 200_000,
-            "|mismatch| <= 1e-6": abs(mismatch(result.final_P, table1)) <= 1e-6,
+            "|mismatch| <= 1e-6": abs(mismatch(result.final.P, table1)) <= 1e-6,
             "lambda spread <= 1e-6": float(
-                result.final_lambda.max() - result.final_lambda.min()
+                result.final.lam.max() - result.final.lam.min()
             ) <= 1e-6,
         }
         _report("A3 balance and consensus at the preset gain", all(checks.values()))
@@ -187,19 +191,21 @@ class TestA3BalanceAndConsensus:
 class TestA4CorrectedFixedPointsCertify:
     def test_a4_table1_and_random_scenarios(self, table1, table1_runs, random_runs):
         failures = []
-        cases = [(-1, table1, table1_runs["corrected"])] + list(random_runs)
+        cases = [(-1, table1, table1_runs["corrected"][0])] + [
+            (seed, scenario, result) for seed, scenario, result, _ in random_runs
+        ]
         converged = 0
         for seed, scenario, result in cases:
             if result.terminated != "by-tolerance":
                 failures.append((seed, "did not converge"))
                 continue
             converged += 1
-            lam_c = float(result.final_lambda.mean())
-            report = kkt_check(result.final_P, lam_c, scenario, tol=1e-4)
+            lam_c = float(result.final.lam.mean())
+            report = kkt_check(result.final.P, lam_c, scenario, tol=1e-4)
             if report.max_residual > 1e-4:
                 failures.append((seed, f"kkt residual {report.max_residual}"))
             gen_nodes = scenario.generator_nodes
-            P_gen = np.array([result.final_P[i] for i in gen_nodes])
+            P_gen = np.array([result.final.P[i] for i in gen_nodes])
             prices = implied_prices(P_gen, scenario, "corrected")
             interior = np.array(
                 [g.p_min + 1e-9 < p < g.p_max - 1e-9
@@ -218,16 +224,16 @@ class TestA5SurplusConservation:
         self, table1_runs, gain_005_run, random_runs
     ):
         worst = 0.0
-        results = [r for r in table1_runs.values()] + [gain_005_run] + [
-            r for (_, _, r) in random_runs
+        results = [r for r, _ in table1_runs.values()] + [gain_005_run] + [
+            r for (_, _, r, _) in random_runs
         ]
         for result in results:
             worst = max(worst, result.max_conservation_gap)
         # recheck against the recorded traces where every round was kept
-        for result in list(table1_runs.values()) + [
-            r for (seed, _, r) in random_runs if seed < 10
+        for records in [kept for _, kept in table1_runs.values()] + [
+            kept for (seed, _, _, kept) in random_runs if seed < 10
         ]:
-            for rec in result.trace[1:]:
+            for rec in records[1:]:
                 worst = max(worst, abs(float(rec.xi.sum()) - rec.mismatch))
         ok = worst <= 1e-9
         _report("A5 surplus conservation within 1e-9 on every round", ok)

@@ -21,6 +21,7 @@ from cemasim import (
 )
 from cemasim.cli import main
 from cemasim.presets import ring_digraph, table1_scenario
+from test_engine import _kept, _write_csv
 
 
 @pytest.fixture(scope="module")
@@ -241,8 +242,8 @@ def _overflow_file(directory):
 
 class TestStreamedRunOutputs:
     """`run` streams each kept round's rows to its CSVs while the engine runs;
-    the files equal the in-memory writers' output, and memory is flat in
-    rounds."""
+    the files equal the row writers' output for the records a list sink kept,
+    written after the run, and memory is flat in rounds."""
 
     # each ending gets a stride that divides its last round and one that
     # does not; `last` is the last round of (original, corrected)
@@ -283,11 +284,12 @@ class TestStreamedRunOutputs:
         scenario = dataclasses.replace(load_scenario(path), **overrides)
         assert engine.VARIANTS == ("original", "corrected")
         for variant, rounds in zip(engine.VARIANTS, last):
-            result = engine.run(scenario, variant, trace_stride=stride)
+            result, records = _kept(scenario, variant, trace_stride=stride)
             assert (result.terminated, result.rounds) == (ended, rounds)
-            assert result.trace[-1] is result.final
-            engine.write_trace_csv(result, scenario, kept / f"trace_{variant}.csv")
-            engine.write_round_summary_csv(result, kept / f"rounds_{variant}.csv")
+            assert records[-1] is result.final
+            _write_csv(kept / f"trace_{variant}.csv",
+                       lambda f: engine.trace_writer(scenario, f), records)
+            _write_csv(kept / f"rounds_{variant}.csv", engine.round_summary_writer, records)
             for name in (f"trace_{variant}.csv", f"rounds_{variant}.csv"):
                 assert (streamed / name).read_bytes() == (kept / name).read_bytes()
 
@@ -419,6 +421,16 @@ class TestKktCommand:
         report = json.loads(out.read_text())
         assert report["max_residual"] != report["max_residual"]  # NaN
         assert report["certified"] is False
+
+    def test_infinite_candidate_exits_two_with_empty_stderr(self, table1_file, tmp_path, capsys):
+        # an Infinity literal reaches kkt_check, whose inf - inf is a NaN
+        # residual, not a numpy warning on stderr
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps({"P": [float("inf"), 100.0, 100.0, 100.0], "lambda": 6.0}))
+        assert main(["kkt", "--scenario", table1_file, "--candidate", str(cand)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["certified"] is False
 
     def test_malformed_candidate_exits_one(self, table1_file, tmp_path):
         cand = tmp_path / "cand.json"

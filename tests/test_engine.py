@@ -1,6 +1,7 @@
 """Consensus engine: round updates, conservation, termination, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from cemasim.engine import (
     TERMINATED_BY_MAX_ITERS,
     TERMINATED_BY_TOLERANCE,
     TERMINATED_DIVERGED,
+    round_summary_writer,
+    trace_writer,
 )
 from cemasim.presets import random_scenario, ring_digraph, table1_scenario
 
@@ -43,6 +46,21 @@ def _scenario(gens, cons, **kw):
         eps_l=kw.get("eps_l", 1e-8),
         max_iters=kw.get("max_iters", 200000),
     )
+
+
+def _kept(scenario, variant, trace_stride=1):
+    """`run` with a list sink: (the result, its kept records in order)."""
+    records = []
+    return run(scenario, variant, trace_stride, sink=records.append), records
+
+
+def _write_csv(path, make_writer, records):
+    """Writes records to a new CSV at path through `make_writer(f)`, which
+    writes the header to f and returns the row sink."""
+    with open(path, "w", newline="") as f:
+        write = make_writer(f)
+        for rec in records:
+            write(rec)
 
 
 class TestLambdaStep:
@@ -107,7 +125,8 @@ class TestSurplusStep:
     def test_first_round_sum_equals_mismatch(self, table1):
         # xi(0) = 0 and P(0) = 0, so the first surplus vector must sum to the
         # round-1 power mismatch
-        rec = run(table1, "corrected").trace[1]
+        _, records = _kept(table1, "corrected")
+        rec = records[1]
         assert rec.k == 1
         assert rec.xi.sum() == pytest.approx(mismatch(rec.P, table1), abs=1e-12)
 
@@ -116,7 +135,8 @@ class TestRoundOneRegression:
     """Round-1 state of the benchmark run, generated once and pinned."""
 
     def test_corrected_round_one(self, table1):
-        rec = run(table1, "corrected").trace[1]
+        _, records = _kept(table1, "corrected")
+        rec = records[1]
         assert rec.k == 1
         np.testing.assert_array_equal(
             rec.lam,
@@ -130,7 +150,8 @@ class TestRoundOneRegression:
         assert rec.lambda_spread == 2.497646666666667
 
     def test_original_round_one(self, table1):
-        rec = run(table1, "original").trace[1]
+        _, records = _kept(table1, "original")
+        rec = records[1]
         np.testing.assert_array_equal(
             rec.lam,
             [3.5572006227840514, 6.054847289450718, 4.055120849839174, 4.497373106278211],
@@ -149,7 +170,8 @@ class TestRoundOneRegression:
         P1 = power_step(table1, "corrected", lam1)
         # routing from the zero state: Q @ 0 + sign * (net(P1) - net(0))
         xi1 = agents.sign * agents.net(P1)
-        rec = run(table1, "corrected").trace[1]
+        _, records = _kept(table1, "corrected")
+        rec = records[1]
         np.testing.assert_array_equal(lam1, rec.lam)
         np.testing.assert_array_equal(P1, rec.P)
         np.testing.assert_array_equal(xi1, rec.xi)
@@ -160,8 +182,8 @@ class TestRun:
         result = run(table1, "corrected")
         sol = solve_centralized(table1)
         assert result.terminated == TERMINATED_BY_TOLERANCE
-        np.testing.assert_allclose(result.final_P, sol.P, atol=1e-3)
-        lam = result.final_lambda
+        np.testing.assert_allclose(result.final.P, sol.P, atol=1e-3)
+        lam = result.final.lam
         assert abs(lam.mean() - sol.lam) <= 1e-6
         assert lam.max() - lam.min() <= 1e-6
 
@@ -171,7 +193,7 @@ class TestRun:
         assert result.terminated == TERMINATED_BY_TOLERANCE
         gen_nodes = table1.generator_nodes
         for i in gen_nodes:
-            assert abs(result.final_P[i] - sol.P[i]) > 1.0
+            assert abs(result.final.P[i] - sol.P[i]) > 1.0
 
     def test_pinned_scenario_exact_balance(self):
         # boxes force P = (128, 126) with net injection exactly matching
@@ -181,8 +203,8 @@ class TestRun:
         s = _scenario([gen], [con], eta=0.01)
         result = run(s, "corrected")
         assert result.terminated == TERMINATED_BY_TOLERANCE
-        np.testing.assert_array_equal(result.final_P, [128.0, 126.0])
-        assert mismatch(result.final_P, s) == 0.0
+        np.testing.assert_array_equal(result.final.P, [128.0, 126.0])
+        assert mismatch(result.final.P, s) == 0.0
 
     def test_large_gain_fails_to_converge(self, table1):
         s = dataclasses.replace(table1, eta=0.9, max_iters=3000)
@@ -215,10 +237,11 @@ class TestRun:
                 return lam
 
             monkeypatch.setattr(engine, "lambda_step", lambda_step)
-            result = run(table1, "corrected")
+            result, records = _kept(table1, "corrected")
             assert result.terminated == TERMINATED_DIVERGED
             assert result.rounds == 3
-            last, before = result.trace[-1], result.trace[-2]
+            last, before = records[-1], records[-2]
+            assert last is result.final
             assert (last.k, before.k) == (3, 2)
             assert np.array_equal(last.lam[1], bad, equal_nan=True)
             assert np.all(np.isfinite(np.delete(last.lam, 1)))
@@ -248,10 +271,50 @@ class TestRun:
 
     def test_trace_stride_keeps_endpoints(self, table1):
         for stride in (100, np.int64(100)):
-            result = run(table1, "corrected", trace_stride=stride)
-            ks = [rec.k for rec in result.trace]
+            result, records = _kept(table1, "corrected", trace_stride=stride)
+            ks = [rec.k for rec in records]
             assert ks == [0, 100, 200, result.rounds]
             assert result.rounds == 254
+
+    @pytest.mark.parametrize("overrides, ended, kept", [
+        ({}, TERMINATED_BY_TOLERANCE, [0, 100, 200, 254]),
+        ({"max_iters": 100}, TERMINATED_BY_MAX_ITERS, [0, 100])], ids=["tolerance", "cap"])
+    def test_without_a_sink_only_the_final_round_is_recorded(self, table1, monkeypatch,
+                                                            overrides, ended, kept):
+        made = []
+        record = engine.IterationRecord
+
+        def counted(*args):
+            made.append(args[0])
+            return record(*args)
+
+        monkeypatch.setattr(engine, "IterationRecord", counted)
+        s = dataclasses.replace(table1, **overrides)
+        for stride in (1, 7, 100):
+            made.clear()
+            result = run(s, "corrected", trace_stride=stride)
+            assert result.terminated == ended
+            assert made == [result.rounds] == [result.final.k]
+        # the same run with a sink records every kept round
+        made.clear()
+        records = _kept(s, "corrected", trace_stride=100)[1]
+        assert made == [rec.k for rec in records] == kept
+
+    def test_without_a_sink_peak_memory_flat_in_rounds(self, table1):
+        # tolerances table1 cannot meet, so both variants run to the cap;
+        # the same bound as the streamed CLI run's
+        def peak(rounds):
+            s = dataclasses.replace(table1, eps_m=1e-300, eps_l=1e-300, max_iters=rounds)
+            tracemalloc.start()
+            try:
+                for variant in engine.VARIANTS:
+                    assert run(s, variant).rounds == rounds
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # first-use allocations out of the comparison
+        assert peak(1000) - peak(100) <= 64 * 1024
 
     def test_interleaved_node_kinds_reach_same_optimum(self, table1):
         # same four agents on an alternating ring: node indices change, the
@@ -272,14 +335,15 @@ class TestRun:
         sol = solve_centralized(table1)
         # interleaved node order: generators at 0, 2 and consumers at 1, 3
         np.testing.assert_allclose(
-            result.final_P[[0, 2, 1, 3]], sol.P, atol=1e-6
+            result.final.P[[0, 2, 1, 3]], sol.P, atol=1e-6
         )
 
     def test_determinism_bit_identical(self, table1):
-        r1 = run(table1, "corrected")
-        r2 = run(table1, "corrected")
+        r1, kept1 = _kept(table1, "corrected")
+        r2, kept2 = _kept(table1, "corrected")
         assert r1.rounds == r2.rounds
-        for a, b in zip(r1.trace, r2.trace):
+        assert len(kept1) == len(kept2) == r1.rounds + 1
+        for a, b in zip(kept1, kept2):
             np.testing.assert_array_equal(a.lam, b.lam)
             np.testing.assert_array_equal(a.P, b.P)
             np.testing.assert_array_equal(a.xi, b.xi)
@@ -305,8 +369,8 @@ class TestGainStabilityDependsOnMixing:
         s = self._digraph_scenario(table1, eta)
         result = run(s, "corrected", trace_stride=s.max_iters)
         assert (result.terminated, result.rounds) == (TERMINATED_BY_TOLERANCE, rounds)
-        assert kkt_check(result.final_P, float(result.final_lambda.mean()), s).certified
-        assert np.abs(result.final_P - solve_centralized(s).P).max() <= 1e-7
+        assert kkt_check(result.final.P, float(result.final.lam.mean()), s).certified
+        assert np.abs(result.final.P - solve_centralized(s).P).max() <= 1e-7
 
     def test_digraph_runs_to_the_cap_at_0_012(self, table1):
         s = self._digraph_scenario(table1, 0.012)
@@ -324,9 +388,9 @@ class TestGainStabilityDependsOnMixing:
 class TestConservationAndTermination:
     def test_surplus_tracks_mismatch_every_round(self, table1):
         for variant in ("original", "corrected"):
-            result = run(table1, variant)
+            result, records = _kept(table1, variant)
             assert result.max_conservation_gap <= 1e-9
-            for rec in result.trace[1:]:
+            for rec in records[1:]:
                 assert abs(rec.xi.sum() - rec.mismatch) <= 1e-9
 
     def test_conservation_on_random_scenarios(self):
@@ -339,61 +403,56 @@ class TestConservationAndTermination:
     def test_tolerance_bounds_final_mismatch(self, table1):
         result = run(table1, "corrected")
         n = table1.n_nodes
-        assert abs(mismatch(result.final_P, table1)) <= n * table1.eps_m
+        assert abs(mismatch(result.final.P, table1)) <= n * table1.eps_m
 
     def test_by_tolerance_state_meets_both_thresholds(self, table1):
-        result = run(table1, "corrected")
+        result, records = _kept(table1, "corrected")
         assert result.terminated == TERMINATED_BY_TOLERANCE
-        assert np.abs(result.final_xi).max() <= table1.eps_m
+        assert np.abs(result.final.xi).max() <= table1.eps_m
         # stride 1 keeps the second-to-last round for the lambda-change test
-        assert np.abs(result.trace[-1].lam - result.trace[-2].lam).max() <= table1.eps_l
+        assert np.abs(records[-1].lam - records[-2].lam).max() <= table1.eps_l
 
     def test_record_mismatch_matches_operation(self, table1):
-        result = run(table1, "corrected", trace_stride=25)
-        for rec in result.trace:
+        for rec in _kept(table1, "corrected", trace_stride=25)[1]:
             assert rec.mismatch == mismatch(rec.P, table1)
 
     def test_consensus_spread_at_termination(self, table1):
         for variant in ("original", "corrected"):
             result = run(table1, variant)
-            lam = result.final_lambda
+            lam = result.final.lam
             assert lam.max() - lam.min() <= 10 * table1.eps_l
 
     def test_fixed_point_prices_agree(self, table1):
         price_formula = {"original": "original", "corrected": "corrected"}
         for variant, formula in price_formula.items():
             result = run(table1, variant)
-            gen_P = np.array([result.final_P[i] for i in table1.generator_nodes])
+            gen_P = np.array([result.final.P[i] for i in table1.generator_nodes])
             prices = implied_prices(gen_P, table1, formula)
             assert prices.max() - prices.min() <= 1e-4
 
 
 class TestTraceSerialization:
     def test_trace_csv_format_and_round_trip(self, table1, tmp_path):
-        from cemasim.engine import write_trace_csv
-
-        result = run(table1, "corrected", trace_stride=50)
+        _, records = _kept(table1, "corrected", trace_stride=50)
         path = tmp_path / "trace.csv"
-        write_trace_csv(result, table1, path)
+        _write_csv(path, lambda f: trace_writer(table1, f), records)
         lines = path.read_text().splitlines()
         assert lines[0] == "k,node_id,kind,lambda,P,xi"
-        assert len(lines) == 1 + 4 * len(result.trace)
+        assert len(lines) == 1 + 4 * len(records)
         # 17 significant digits round-trip the exact float
         k, node, kind, lam, P, xi = lines[5].split(",")
-        assert (int(k), int(node), kind) == (result.trace[1].k, 0, "generator")
-        assert float(lam) == result.trace[1].lam[0]
-        assert float(P) == result.trace[1].P[0]
-        assert float(xi) == result.trace[1].xi[0]
+        assert (int(k), int(node), kind) == (records[1].k, 0, "generator")
+        assert float(lam) == records[1].lam[0]
+        assert float(P) == records[1].P[0]
+        assert float(xi) == records[1].xi[0]
 
     def test_round_summary_csv(self, table1, tmp_path):
-        from cemasim.engine import write_round_summary_csv
-
-        result = run(table1, "corrected", trace_stride=50)
+        result, records = _kept(table1, "corrected", trace_stride=50)
         path = tmp_path / "rounds.csv"
-        write_round_summary_csv(result, path)
+        _write_csv(path, round_summary_writer, records)
         lines = path.read_text().splitlines()
         assert lines[0] == "k,mismatch,lambda_spread,max_abs_xi"
-        assert len(lines) == 1 + len(result.trace)
+        assert len(lines) == 1 + len(records)
         last = lines[-1].split(",")
         assert int(last[0]) == result.rounds
         assert abs(float(last[3])) <= table1.eps_m
@@ -401,12 +460,7 @@ class TestTraceSerialization:
     def test_writers_match_csv_module_on_edge_values(self, table1, tmp_path):
         import csv
 
-        from cemasim.engine import (
-            IterationRecord,
-            RunResult,
-            write_round_summary_csv,
-            write_trace_csv,
-        )
+        from cemasim.engine import IterationRecord
 
         edge = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16 + 2, 0.1, -123.456]
 
@@ -415,31 +469,28 @@ class TestTraceSerialization:
                                    mismatch=mism, lambda_spread=spread,
                                    max_abs_xi=float(np.abs(np.array(xi)).max()))
 
-        trace = [
+        records = [
             rec(0, edge[0:4], edge[4:8], edge[2:6], -0.0, float("nan")),
             rec(7, edge[4:8], edge[0:4], [5e-324, -0.0, 1e16 + 2, 0.1], float("inf"), 5e-324),
             rec(10**6 + 3, edge[1:5], edge[3:7], [-0.0, 0.1, -123.456, float("-inf")],
                 1e16 + 2, float("-inf")),
         ]
-        result = RunResult(trace=trace, terminated=TERMINATED_BY_MAX_ITERS,
-                           variant="corrected", rounds=10**6 + 3, max_conservation_gap=0.0,
-                           final=trace[-1])
-        write_trace_csv(result, table1, tmp_path / "trace.csv")
-        write_round_summary_csv(result, tmp_path / "rounds.csv")
+        _write_csv(tmp_path / "trace.csv", lambda f: trace_writer(table1, f), records)
+        _write_csv(tmp_path / "rounds.csv", round_summary_writer, records)
 
         # the csv.writer path the writers replaced, on numpy scalars
         kinds = [k.value for k in table1.graph.node_kind]
         with open(tmp_path / "trace_ref.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["k", "node_id", "kind", "lambda", "P", "xi"])
-            for r in trace:
+            for r in records:
                 for i in range(table1.n_nodes):
                     writer.writerow([r.k, i, kinds[i], f"{r.lam[i]:.17g}", f"{r.P[i]:.17g}",
                                      f"{r.xi[i]:.17g}"])
         with open(tmp_path / "rounds_ref.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["k", "mismatch", "lambda_spread", "max_abs_xi"])
-            for r in trace:
+            for r in records:
                 writer.writerow([r.k, f"{r.mismatch:.17g}", f"{r.lambda_spread:.17g}",
                                  f"{float(np.abs(r.xi).max()):.17g}"])
 

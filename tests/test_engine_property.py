@@ -12,7 +12,6 @@ from cemasim import (
     lambda_init,
     lambda_step,
     power_step,
-    run,
     table1_scenario,
 )
 from cemasim.engine import (
@@ -23,7 +22,7 @@ from cemasim.engine import (
     VARIANTS,
 )
 from cemasim.presets import random_scenario
-from test_engine import _scenario
+from test_engine import _kept, _scenario
 
 STRIDES = (1, 7)
 
@@ -78,12 +77,13 @@ def _bits(x) -> bytes:
 
 def _check(scenario, variant, stride):
     """Asserts run matches the reference bit for bit; returns how it ended."""
-    result = run(scenario, variant, trace_stride=stride)
+    result, records = _kept(scenario, variant, trace_stride=stride)
     kept, terminated, rounds, max_gap = _reference_run(scenario, variant, stride)
     assert (result.terminated, result.rounds) == (terminated, rounds)
     assert _bits(result.max_conservation_gap) == _bits(max_gap)
-    assert [rec.k for rec in result.trace] == [row[0] for row in kept]
-    for rec, (_, lam, P, xi, mism) in zip(result.trace, kept):
+    assert records[-1] is result.final
+    assert [rec.k for rec in records] == [row[0] for row in kept]
+    for rec, (_, lam, P, xi, mism) in zip(records, kept):
         assert rec.lam.tobytes() == lam.tobytes()
         assert rec.P.tobytes() == P.tobytes()
         assert rec.xi.tobytes() == xi.tobytes()

@@ -172,12 +172,12 @@ class TestSolveCentralized:
 class TestKktCheck:
     def test_original_fixed_point_fails_with_loss_residual(self, table1):
         result = run(table1, "original")
-        lam_c = float(result.final_lambda.mean())
-        report = kkt_check(result.final_P, lam_c, table1)
+        lam_c = float(result.final.lam.mean())
+        report = kkt_check(result.final.P, lam_c, table1)
         gen_nodes = table1.generator_nodes
         for idx, node in enumerate(gen_nodes):
             g = table1.generators[idx]
-            P = result.final_P[node]
+            P = result.final.P[node]
             # interior original response equalizes raw marginal cost, leaving
             # lam * 2B * P as the stationarity defect
             expected = lam_c * 2.0 * g.B * P
@@ -187,8 +187,8 @@ class TestKktCheck:
 
     def test_corrected_fixed_point_certifies(self, table1):
         result = run(table1, "corrected")
-        lam_c = float(result.final_lambda.mean())
-        report = kkt_check(result.final_P, lam_c, table1, tol=1e-4)
+        lam_c = float(result.final.lam.mean())
+        report = kkt_check(result.final.P, lam_c, table1, tol=1e-4)
         assert report.max_residual <= 1e-4
         assert report.certified
 
@@ -230,6 +230,23 @@ class TestKktCheck:
         report = kkt_check(np.array([60.0, 25.0, np.nan, np.nan]), 0.0, table1)
         assert report.stationarity.tolist() == [0.0] * 4
         assert np.isnan(report.max_residual)
+        assert not report.certified
+
+    @pytest.mark.parametrize("case, residual", [
+        ("inf-P", np.nan), ("inf-lambda", np.nan), ("huge-P", np.inf)])
+    def test_non_finite_or_huge_candidate_is_a_residual(self, table1, case, residual):
+        # inf - inf and overflow in the evaluation would raise here, because
+        # the suite turns numpy's warnings into errors
+        sol = solve_centralized(table1)
+        P, lam = sol.P.copy(), sol.lam
+        if case == "inf-P":
+            P = np.array([np.inf, 100.0, 100.0, 100.0])
+        elif case == "inf-lambda":
+            lam = np.inf
+        else:
+            P[0] = 1e200
+        report = kkt_check(P, lam, table1)
+        assert np.array_equal(report.max_residual, residual, equal_nan=True)
         assert not report.certified
 
     def test_serializes_to_json_dict(self, table1):

@@ -555,6 +555,15 @@ class TestDigraphConstruction:
                     node_kind=["generator", "consumer"])
         assert g.edges[0] == (0, 1) and type(g.edges[0][0]) is int
 
+    def test_adjacency_marks_receiver_row_sender_column(self):
+        # edge (u, v) means u sends to v, so it sets entry [v, u]; duplicate
+        # edges set it once, and a graph without edges gives all False
+        g = Digraph(n=3, edges=[(0, 1), (0, 1), (2, 2), (1, 0)], node_kind=["generator"] * 3)
+        assert g.adjacency().tolist() == [[False, True, False],
+                                          [True, False, False],
+                                          [False, False, True]]
+        assert not Digraph(n=2, edges=[], node_kind=["generator"] * 2).adjacency().any()
+
     def test_negative_edge_index_rejected(self):
         # negative indices would silently wrap when building weight matrices
         with pytest.raises(ValueError, match="out of range"):
