@@ -38,6 +38,11 @@ class InvalidScenarioError(ValueError):
         lines = "; ".join(v.message for v in self.violations)
         super().__init__(f"invalid scenario: {lines}")
 
+    def __reduce__(self):
+        # BaseException pickles its args, the message; rebuild from the
+        # violations instead, so the error crosses a process boundary
+        return type(self), (self.violations,)
+
 
 @dataclass(frozen=True, eq=False)
 class IterationRecord:

@@ -2,7 +2,14 @@
 
 import dataclasses
 import json
+import math
+import os
+import pickle
+import signal
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +19,7 @@ from cemasim import (
     Digraph,
     GeneratorParams,
     Scenario,
+    Violation,
     build_uniform_weights,
     engine,
     load_scenario,
@@ -19,8 +27,9 @@ from cemasim import (
     scenario_to_dict,
     validate_scenario,
 )
+from cemasim import cli
 from cemasim.cli import main
-from cemasim.presets import ring_digraph, table1_scenario
+from cemasim.presets import random_scenario, ring_digraph, table1_scenario
 from test_engine import _kept, _write_csv
 
 
@@ -660,3 +669,174 @@ class TestParserBuiltOnce:
         assert main(["run", "--scenario", table1_file, "--output-dir", str(tmp_path / "b")]) == 0
         report = json.loads((tmp_path / "b" / "report_corrected.json").read_text())
         assert report["rounds"] == run(load_scenario(table1_file), "corrected").rounds
+
+
+@pytest.fixture(scope="module")
+def forked_files(tmp_path_factory):
+    """{seed: path} of generated scenarios with cli.FORK_MIN_NODES nodes, the
+    fewest on which `run --variant both` forks."""
+    half = -(-cli.FORK_MIN_NODES // 2)
+    d = tmp_path_factory.mktemp("forked")
+    files = {}
+    for seed in (1, 3):
+        files[seed] = str(d / f"random-{seed}.json")
+        save_scenario(random_scenario(seed, half, cli.FORK_MIN_NODES - half), files[seed])
+    return files
+
+
+@pytest.mark.skipif(sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+                    reason="run --variant both forks only on Linux with two usable CPUs")
+class TestForkedBothRun:
+    """`run --variant both` above the node threshold: `original` runs in a
+    forked child while `corrected` runs in the parent."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left_and_a_deadline(self):
+        # a hang fails the test instead of the suite; afterwards this process
+        # has no child, running or unreaped
+        def expire(signum, frame):
+            raise TimeoutError("forked test still running after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The number of times cli._forked has been called."""
+        calls = []
+        forked = cli._forked
+
+        def counted(*fns):
+            calls.append(fns)
+            return forked(*fns)
+
+        monkeypatch.setattr(cli, "_forked", counted)
+        return calls
+
+    def test_the_gate(self, forked_files):
+        assert cli._runs_forked(load_scenario(forked_files[1]))
+        # table1's 4 nodes run serially: forking costs more than it overlaps
+        assert not cli._runs_forked(table1_scenario())
+
+    def test_same_bytes_as_single_variants_and_the_serial_path(self, forked_files, tmp_path,
+                                                             capsys, monkeypatch, forks):
+        path = forked_files[1]
+        assert main(["run", "--scenario", path, "--variant", "both",
+                     "--output-dir", str(tmp_path / "forked")]) == 0
+        forked_out = capsys.readouterr().out
+        assert len(forks) == 1
+        for variant in engine.VARIANTS:
+            assert main(["run", "--scenario", path, "--variant", variant,
+                         "--output-dir", str(tmp_path / "single")]) == 0
+        single_out = capsys.readouterr().out
+        monkeypatch.setattr(cli, "FORK_MIN_NODES", math.inf)
+        assert main(["run", "--scenario", path, "--variant", "both",
+                     "--output-dir", str(tmp_path / "serial")]) == 0
+        assert capsys.readouterr().out == single_out == forked_out
+        assert len(forks) == 1
+        assert forked_out.startswith("[original] ")
+        names = sorted(p.name for p in (tmp_path / "forked").iterdir())
+        assert len(names) == 6
+        for other in ("single", "serial"):
+            assert sorted(p.name for p in (tmp_path / other).iterdir()) == names
+            for name in names:
+                assert ((tmp_path / other / name).read_bytes()
+                        == (tmp_path / "forked" / name).read_bytes())
+
+    @pytest.mark.parametrize("seed, capped", [(1, "corrected"), (3, "original")])
+    def test_one_variant_at_the_cap_exits_two(self, forked_files, tmp_path, forks, seed, capped):
+        scenario = load_scenario(forked_files[seed])
+        rounds = {v: engine.run(scenario, v).rounds for v in engine.VARIANTS}
+        assert max(rounds, key=rounds.get) == capped
+        cap = min(rounds.values())
+        assert main(["run", "--scenario", forked_files[seed], "--variant", "both",
+                     "--max-iters", str(cap), "--output-dir", str(tmp_path)]) == 2
+        assert len(forks) == 1
+        for variant in engine.VARIANTS:
+            report = json.loads((tmp_path / f"report_{variant}.json").read_text())
+            assert report["rounds"] == cap
+            assert report["terminated"] == (
+                "by-max-iters" if variant == capped else "by-tolerance")
+
+    @pytest.mark.parametrize("variant", engine.VARIANTS)
+    def test_an_unwritable_trace_exits_one_without_traceback(self, forked_files, tmp_path,
+                                                            capsys, forks, variant):
+        # original fails in the child, corrected in the parent
+        (tmp_path / f"trace_{variant}.csv").mkdir()
+        assert main(["run", "--scenario", forked_files[1], "--variant", "both",
+                     "--output-dir", str(tmp_path)]) == 1
+        assert len(forks) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write {str(tmp_path)!r}: [Errno 21] ")
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / f"report_{variant}.json").exists()
+
+    def test_a_result_larger_than_the_pipe_buffer(self):
+        payload = list(range(250_000))
+        assert len(pickle.dumps(payload)) > 1 << 20
+        assert cli._forked(lambda: payload, lambda: "parent") == (payload, "parent")
+
+    def test_the_childs_exception_is_raised_with_its_data(self):
+        violations = [Violation(-1, "x", "bad")]
+
+        def fail():
+            raise engine.InvalidScenarioError(violations)
+
+        with pytest.raises(engine.InvalidScenarioError, match="invalid scenario: bad") as info:
+            cli._forked(fail, lambda: None)
+        assert [(v.node, v.rule, v.message) for v in info.value.violations] == [(-1, "x", "bad")]
+
+    def test_an_unpicklable_result_is_a_child_process_error(self):
+        with pytest.raises(ChildProcessError, match="exited with code 1 and no result"):
+            cli._forked(lambda: (lambda: None), lambda: None)
+
+    def test_an_interrupted_parent_kills_the_child(self):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._forked(lambda: time.sleep(30), interrupted)
+        assert time.monotonic() - start < 10
+
+    def test_a_killed_parent_takes_the_child_with_it(self, tmp_path):
+        # SIGKILL runs no finally: the kernel ends the child (PR_SET_PDEATHSIG)
+        pid_file = tmp_path / "child.pid"
+
+        def child():
+            pid_file.write_text(f"{os.getpid()}\n")
+            time.sleep(30)
+
+        parent = os.fork()
+        if parent == 0:
+            try:
+                cli._forked(child, lambda: time.sleep(30))
+            finally:
+                os._exit(1)
+        try:
+            while not pid_file.exists() or not pid_file.read_text().endswith("\n"):
+                time.sleep(0.01)
+        finally:
+            os.kill(parent, signal.SIGKILL)
+            os.waitpid(parent, 0)
+        stat = Path(f"/proc/{int(pid_file.read_text())}/stat")
+
+        def running():
+            # a dead child is gone, or a zombie until its new parent reaps it
+            try:
+                return stat.read_text().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+            except FileNotFoundError:
+                return False
+
+        start = time.monotonic()
+        while running():
+            assert time.monotonic() - start < 10, "the child outlived its killed parent"
+            time.sleep(0.01)

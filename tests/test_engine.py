@@ -1,6 +1,7 @@
 """Consensus engine: round updates, conservation, termination, determinism."""
 
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from cemasim import (
     GeneratorParams,
     InvalidScenarioError,
     Scenario,
+    Violation,
     WeightMatrices,
     build_uniform_weights,
     engine,
@@ -261,6 +263,15 @@ class TestRun:
         s = dataclasses.replace(table1, eta=2.0)
         with pytest.raises(InvalidScenarioError):
             run(s, "corrected")
+
+    def test_invalid_scenario_error_pickles(self):
+        # a forked `run --variant both` sends the child's exception back pickled
+        violations = [Violation(-1, "x", "bad"), Violation(2, "gen.y", "worse")]
+        exc = pickle.loads(pickle.dumps(InvalidScenarioError(violations)))
+        assert type(exc) is InvalidScenarioError
+        assert [(v.node, v.rule, v.message) for v in exc.violations] == [
+            (-1, "x", "bad"), (2, "gen.y", "worse")]
+        assert str(exc) == "invalid scenario: bad; worse"
 
     def test_non_finite_weights_rejected(self, table1):
         W = table1.weights.W.copy()
