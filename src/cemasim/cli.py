@@ -152,17 +152,12 @@ def _run_variant(scenario: Scenario, variant: str, output_dir: str, trace_stride
     """Runs one variant, writes its trace_, rounds_ and report_ files into
     `output_dir`; returns the run summary."""
     out_dir = Path(output_dir)
-    # each kept round's rows are written as the engine makes them
+    # the kept rounds' rows are written, a block of rounds at a time, while
+    # the engine runs
     with (_writing(output_dir),
-          open(out_dir / f"trace_{variant}.csv", "w", newline="") as trace_file,
-          open(out_dir / f"rounds_{variant}.csv", "w", newline="") as rounds_file):
-        write_trace = engine.trace_writer(scenario, trace_file)
-        write_rounds = engine.round_summary_writer(rounds_file)
-
-        def sink(rec):
-            write_trace(rec)
-            write_rounds(rec)
-
+          open(out_dir / f"trace_{variant}.csv", "wb") as trace_file,
+          open(out_dir / f"rounds_{variant}.csv", "wb") as rounds_file,
+          engine.csv_sink(scenario, trace_file, rounds_file) as sink):
         result = engine.run(scenario, variant, trace_stride=trace_stride, sink=sink)
     summary = _run_summary(scenario, result)
     with _writing(output_dir):

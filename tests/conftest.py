@@ -76,6 +76,21 @@ def consumer_compare(p: ConsumerParams, lam: float):
     return cmp
 
 
+def reference_csv(scenario, records) -> tuple:
+    """(trace CSV, round-summary CSV) bytes of `records` written one row at a
+    time with %-templates: the independent reference for engine.csv_sink."""
+    kinds = [kind.value.encode() for kind in scenario.graph.node_kind]
+    trace = [b"k,node_id,kind,lambda,P,xi\r\n"]
+    rounds = [b"k,mismatch,lambda_spread,max_abs_xi\r\n"]
+    for rec in records:
+        for i, kind in enumerate(kinds):
+            trace.append(b"%d,%d,%s,%.17g,%.17g,%.17g\r\n"
+                         % (rec.k, i, kind, rec.lam[i], rec.P[i], rec.xi[i]))
+        rounds.append(b"%d,%.17g,%.17g,%.17g\r\n"
+                      % (rec.k, rec.mismatch, rec.lambda_spread, rec.max_abs_xi))
+    return b"".join(trace), b"".join(rounds)
+
+
 @pytest.fixture(scope="session")
 def table1():
     return table1_scenario()

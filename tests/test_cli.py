@@ -30,7 +30,8 @@ from cemasim import (
 from cemasim import cli
 from cemasim.cli import main
 from cemasim.presets import random_scenario, ring_digraph, table1_scenario
-from test_engine import _kept, _write_csv
+from conftest import reference_csv
+from test_engine import _kept
 
 
 @pytest.fixture(scope="module")
@@ -250,9 +251,9 @@ def _overflow_file(directory):
 
 
 class TestStreamedRunOutputs:
-    """`run` streams each kept round's rows to its CSVs while the engine runs;
-    the files equal the row writers' output for the records a list sink kept,
-    written after the run, and memory is flat in rounds."""
+    """`run` streams the kept rounds' rows to its CSVs while the engine runs;
+    the files equal the reference rows of the records a list sink kept, also
+    when the run fails, and memory is flat in rounds."""
 
     # each ending gets a stride that divides its last round and one that
     # does not; `last` is the last round of (original, corrected)
@@ -284,8 +285,7 @@ class TestStreamedRunOutputs:
                 return out
 
             monkeypatch.setattr(engine, "lambda_step", lambda_step)
-        streamed, kept = tmp_path / "streamed", tmp_path / "kept"
-        kept.mkdir()
+        streamed = tmp_path / "streamed"
         flags = [f"--{k.replace('_', '-')}={v}" for k, v in overrides.items()]
         assert main(["run", "--scenario", path, "--variant", "both", "--output-dir",
                      str(streamed), "--trace-stride", str(stride), *flags]) == (
@@ -296,11 +296,35 @@ class TestStreamedRunOutputs:
             result, records = _kept(scenario, variant, trace_stride=stride)
             assert (result.terminated, result.rounds) == (ended, rounds)
             assert records[-1] is result.final
-            _write_csv(kept / f"trace_{variant}.csv",
-                       lambda f: engine.trace_writer(scenario, f), records)
-            _write_csv(kept / f"rounds_{variant}.csv", engine.round_summary_writer, records)
-            for name in (f"trace_{variant}.csv", f"rounds_{variant}.csv"):
-                assert (streamed / name).read_bytes() == (kept / name).read_bytes()
+            assert ((streamed / f"trace_{variant}.csv").read_bytes(),
+                    (streamed / f"rounds_{variant}.csv").read_bytes()
+                    ) == reference_csv(scenario, records)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_a_failed_run_leaves_the_rows_of_the_rounds_kept_before(
+            self, table1_file, tmp_path, monkeypatch, error, stride):
+        # round 100's best responses raise: the files hold rounds 0-99's
+        # kept rows, the rows the per-round writers left before the blocks
+        step = engine.power_step
+        calls = []
+
+        def power_step(*args):
+            calls.append(1)
+            if len(calls) == 100:
+                raise error("round 100")
+            return step(*args)
+
+        scenario = load_scenario(table1_file)
+        records = [rec for rec in _kept(scenario, "corrected", trace_stride=stride)[1]
+                   if rec.k < 100]
+        monkeypatch.setattr(engine, "power_step", power_step)
+        with pytest.raises(error, match="round 100"):
+            main(["run", "--scenario", table1_file, "--output-dir", str(tmp_path),
+                  "--trace-stride", str(stride)])
+        assert ((tmp_path / "trace_corrected.csv").read_bytes(),
+                (tmp_path / "rounds_corrected.csv").read_bytes()
+                ) == reference_csv(scenario, records)
 
     def test_peak_memory_flat_in_rounds(self, table1_file, tmp_path):
         # tolerances table1 cannot meet, so both variants run to the cap.

@@ -1,6 +1,7 @@
 """Consensus engine: round updates, conservation, termination, determinism."""
 
 import dataclasses
+import io
 import pickle
 import tracemalloc
 
@@ -30,10 +31,11 @@ from cemasim.engine import (
     TERMINATED_BY_MAX_ITERS,
     TERMINATED_BY_TOLERANCE,
     TERMINATED_DIVERGED,
-    round_summary_writer,
-    trace_writer,
+    IterationRecord,
+    csv_sink,
 )
 from cemasim.presets import random_scenario, ring_digraph, table1_scenario
+from conftest import reference_csv
 
 
 def _scenario(gens, cons, **kw):
@@ -56,13 +58,14 @@ def _kept(scenario, variant, trace_stride=1):
     return run(scenario, variant, trace_stride, sink=records.append), records
 
 
-def _write_csv(path, make_writer, records):
-    """Writes records to a new CSV at path through `make_writer(f)`, which
-    writes the header to f and returns the row sink."""
-    with open(path, "w", newline="") as f:
-        write = make_writer(f)
+def _sink_csv(scenario, records) -> tuple:
+    """(trace CSV, round-summary CSV) bytes of `records` written through
+    engine.csv_sink."""
+    trace, rounds = io.BytesIO(), io.BytesIO()
+    with csv_sink(scenario, trace, rounds) as sink:
         for rec in records:
-            write(rec)
+            sink(rec)
+    return trace.getvalue(), rounds.getvalue()
 
 
 class TestLambdaStep:
@@ -443,11 +446,11 @@ class TestConservationAndTermination:
 
 
 class TestTraceSerialization:
-    def test_trace_csv_format_and_round_trip(self, table1, tmp_path):
+    def test_trace_csv_format_and_round_trip(self, table1):
         _, records = _kept(table1, "corrected", trace_stride=50)
-        path = tmp_path / "trace.csv"
-        _write_csv(path, lambda f: trace_writer(table1, f), records)
-        lines = path.read_text().splitlines()
+        trace, _ = _sink_csv(table1, records)
+        assert trace == reference_csv(table1, records)[0]
+        lines = trace.decode().splitlines()
         assert lines[0] == "k,node_id,kind,lambda,P,xi"
         assert len(lines) == 1 + 4 * len(records)
         # 17 significant digits round-trip the exact float
@@ -457,21 +460,51 @@ class TestTraceSerialization:
         assert float(P) == records[1].P[0]
         assert float(xi) == records[1].xi[0]
 
-    def test_round_summary_csv(self, table1, tmp_path):
+    def test_round_summary_csv(self, table1):
         result, records = _kept(table1, "corrected", trace_stride=50)
-        path = tmp_path / "rounds.csv"
-        _write_csv(path, round_summary_writer, records)
-        lines = path.read_text().splitlines()
+        _, rounds = _sink_csv(table1, records)
+        assert rounds == reference_csv(table1, records)[1]
+        lines = rounds.decode().splitlines()
         assert lines[0] == "k,mismatch,lambda_spread,max_abs_xi"
         assert len(lines) == 1 + len(records)
         last = lines[-1].split(",")
         assert int(last[0]) == result.rounds
         assert abs(float(last[3])) <= table1.eps_m
 
+    @pytest.mark.parametrize("variant", engine.VARIANTS)
+    def test_16_node_run_equals_the_reference(self, variant):
+        # every kept round of a 16-node ring: many full blocks, a partial
+        # last one, and values over many decades
+        s = random_scenario(1, 8, 8)
+        result, records = _kept(s, variant)
+        assert result.terminated == TERMINATED_BY_TOLERANCE
+        assert len(records) % engine.BLOCK_ROUNDS != 0
+        assert _sink_csv(s, records) == reference_csv(s, records)
+
+    def test_a_wide_ring_writes_blocks_of_at_most_block_values(self, monkeypatch):
+        # 30 nodes, 93 floats a round: 44 rounds a block, not 64
+        s = dataclasses.replace(random_scenario(1, 15, 15), max_iters=200)
+        result, records = _kept(s, "corrected")
+        assert (result.terminated, len(records)) == (TERMINATED_BY_MAX_ITERS, 201)
+        sizes = []
+        write = engine.write_block
+
+        def write_block(trace_file, rounds_file, node_fields, block):
+            sizes.append(len(block))
+            write(trace_file, rounds_file, node_fields, block)
+
+        monkeypatch.setattr(engine, "write_block", write_block)
+        assert _sink_csv(s, records) == reference_csv(s, records)
+        assert engine.BLOCK_VALUES // 93 == 44
+        assert sizes == [44, 44, 44, 44, 25]
+
+    @pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+    def test_any_number_of_records_equals_the_reference(self, table1, count):
+        records = _kept(table1, "original")[1][:count]
+        assert _sink_csv(table1, records) == reference_csv(table1, records)
+
     def test_writers_match_csv_module_on_edge_values(self, table1, tmp_path):
         import csv
-
-        from cemasim.engine import IterationRecord
 
         edge = [-0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16 + 2, 0.1, -123.456]
 
@@ -486,10 +519,9 @@ class TestTraceSerialization:
             rec(10**6 + 3, edge[1:5], edge[3:7], [-0.0, 0.1, -123.456, float("-inf")],
                 1e16 + 2, float("-inf")),
         ]
-        _write_csv(tmp_path / "trace.csv", lambda f: trace_writer(table1, f), records)
-        _write_csv(tmp_path / "rounds.csv", round_summary_writer, records)
+        trace, rounds = _sink_csv(table1, records)
 
-        # the csv.writer path the writers replaced, on numpy scalars
+        # the csv.writer path of the first writers, on numpy scalars
         kinds = [k.value for k in table1.graph.node_kind]
         with open(tmp_path / "trace_ref.csv", "w", newline="") as f:
             writer = csv.writer(f)
@@ -505,10 +537,9 @@ class TestTraceSerialization:
                 writer.writerow([r.k, f"{r.mismatch:.17g}", f"{r.lambda_spread:.17g}",
                                  f"{float(np.abs(r.xi).max()):.17g}"])
 
-        for name in ("trace", "rounds"):
-            got = (tmp_path / f"{name}.csv").read_bytes()
-            assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
-        rows = (tmp_path / "trace.csv").read_bytes().split(b"\r\n")
+        assert trace == (tmp_path / "trace_ref.csv").read_bytes()
+        assert rounds == (tmp_path / "rounds_ref.csv").read_bytes()
+        rows = trace.split(b"\r\n")
         assert rows[1] == b"0,0,generator,-0,4.9406564584124654e-324,inf"
         assert rows[-2] == b"1000003,3,consumer,4.9406564584124654e-324,0.10000000000000001,-inf"
 
