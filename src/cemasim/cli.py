@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, oracle
+from . import engine, oracle, verdict
 from .presets import TABLE1_REFERENCE_DISPATCH, random_scenario, table1_scenario
 from .scenario import (
     Scenario,
@@ -45,10 +45,6 @@ from .scenario import (
     save_scenario,
     validate_scenario,
 )
-
-# spread of loss-adjusted marginal costs across interior generators above
-# which a fixed point is flagged as inconsistent with optimality
-PRICE_DISAGREEMENT_TOL = 1e-3
 
 # what reading a scenario or candidate file can raise (a JSON syntax error
 # is a ValueError): each is bad input, reported without a traceback
@@ -106,48 +102,6 @@ def _load(path: str) -> Scenario:
     return scenario
 
 
-def _implied_prices(scenario: Scenario, P_gen: np.ndarray) -> dict:
-    """{variant: its implied generator prices at generator powers P_gen}."""
-    return {v: oracle.implied_prices(P_gen, scenario, v) for v in engine.VARIANTS}
-
-
-def _price_spread(prices: np.ndarray, interior: np.ndarray) -> float:
-    vals = prices[interior]
-    if vals.size < 2:
-        return 0.0
-    return float(vals.max() - vals.min())
-
-
-def _run_summary(scenario: Scenario, result: engine.RunResult) -> dict:
-    final = result.final
-    P, lam = final.P, final.lam
-    P_gen = P[list(scenario.generator_nodes)]
-    interior = np.array(
-        [g.p_min + oracle.ACTIVE_BOUND_TOL < float(p) < g.p_max - oracle.ACTIVE_BOUND_TOL
-         for g, p in zip(scenario.generators, P_gen)],
-        dtype=bool,
-    )
-    summary = {
-        "variant": result.variant,
-        "terminated": result.terminated,
-        "rounds": result.rounds,
-        "final_lambda": lam.tolist(),
-        "final_P": P.tolist(),
-        "final_xi": final.xi.tolist(),
-        "mismatch": final.mismatch,
-        "lambda_spread": final.lambda_spread,
-        "max_conservation_gap": result.max_conservation_gap,
-        "interior_generators": interior.tolist(),
-    }
-    for variant, prices in _implied_prices(scenario, P_gen).items():
-        summary[f"implied_prices_{variant}"] = prices.tolist()
-        summary[f"implied_price_spread_{variant}"] = _price_spread(prices, interior)
-    summary["implied_prices_disagree"] = (
-        summary["implied_price_spread_corrected"] > PRICE_DISAGREEMENT_TOL
-    )
-    return summary
-
-
 def _run_variant(scenario: Scenario, variant: str, output_dir: str, trace_stride: int) -> dict:
     """Runs one variant, writes its trace_, rounds_ and report_ files into
     `output_dir`; returns the run summary."""
@@ -159,7 +113,7 @@ def _run_variant(scenario: Scenario, variant: str, output_dir: str, trace_stride
           open(out_dir / f"rounds_{variant}.csv", "wb") as rounds_file,
           engine.csv_sink(scenario, trace_file, rounds_file) as sink):
         result = engine.run(scenario, variant, trace_stride=trace_stride, sink=sink)
-    summary = _run_summary(scenario, result)
+    summary = verdict.run_summary(scenario, result)
     with _writing(output_dir):
         (out_dir / f"report_{variant}.json").write_text(json_text(summary))
     return summary
@@ -337,50 +291,6 @@ def cmd_kkt(args) -> int:
     return EXIT_OK if report.certified else EXIT_NOT_CONVERGED
 
 
-def _counterexample_payload(scenario: Scenario) -> tuple:
-    """Runs oracle + both variants; returns (payload dict, exit code)."""
-    sol = oracle.solve_centralized(scenario)
-    gen_nodes = list(scenario.generator_nodes)
-    at_opt = _implied_prices(scenario, sol.P[gen_nodes])
-    orig_at_opt = at_opt["original"]
-
-    payload = {
-        "oracle": {
-            "lambda": sol.lam,
-            "P": sol.P.tolist(),
-            "objective": sol.objective,
-            "kkt_max_residual": oracle.kkt_check(sol.P, sol.lam, scenario).max_residual,
-        },
-        "implied_prices_at_oracle_optimum": {v: p.tolist() for v, p in at_opt.items()},
-        "original_price_spread_at_optimum": float(orig_at_opt.max() - orig_at_opt.min()),
-    }
-
-    variants = {}
-    for variant in engine.VARIANTS:
-        result = engine.run(scenario, variant)
-        summary = _run_summary(scenario, result)
-        keys = ["terminated", "rounds", "lambda_spread", "final_P", "mismatch"]
-        entry = {"lambda_consensus": float(result.final.lam.mean())}
-        if result.terminated == engine.TERMINATED_BY_TOLERANCE:
-            keys += [f"implied_prices_{v}" for v in engine.VARIANTS]
-            report = oracle.kkt_check(result.final.P, entry["lambda_consensus"], scenario)
-            entry["kkt_max_residual"] = report.max_residual
-            entry["kkt_generator_stationarity"] = np.abs(report.stationarity[gen_nodes]).tolist()
-        variants[variant] = entry | {k: summary[k] for k in keys}
-    payload["variants"] = variants
-
-    if any(v["terminated"] != engine.TERMINATED_BY_TOLERANCE for v in variants.values()):
-        return payload, EXIT_NOT_CONVERGED
-
-    exhibited = (
-        payload["original_price_spread_at_optimum"] >= 0.1
-        and max(variants["original"]["kkt_generator_stationarity"]) >= 1e-2
-        and variants["corrected"]["kkt_max_residual"] <= 1e-4
-    )
-    payload["contradiction_exhibited"] = bool(exhibited)
-    return payload, EXIT_OK if exhibited else EXIT_NO_CONTRADICTION
-
-
 def _counterexample_text(payload: dict) -> str:
     lines = ["counterexample report", "====================="]
     if payload.get("coincide"):
@@ -437,15 +347,16 @@ def cmd_counterexample(args) -> int:
     else:
         with _bad_input((oracle.InfeasibleScenarioError, oracle.BracketError),
                         "centralized solve failed: "):
-            payload, status = _counterexample_payload(scenario)
+            payload = verdict.counterexample(scenario)
+        # no verdict when a variant did not converge
+        status = {True: EXIT_OK, False: EXIT_NO_CONTRADICTION}.get(
+            payload.get("contradiction_exhibited"), EXIT_NOT_CONVERGED)
 
     if args.scenario is None:
         # the builtin benchmark carries a published two-decimal dispatch;
         # evaluate the original update's implied prices right at it
-        ref = {"P": list(TABLE1_REFERENCE_DISPATCH)}
-        for variant, prices in _implied_prices(scenario, np.array(ref["P"])).items():
-            ref[f"implied_prices_{variant}"] = prices.tolist()
-        payload["reference_dispatch"] = ref
+        ref = list(TABLE1_REFERENCE_DISPATCH)
+        payload["reference_dispatch"] = {"P": ref} | verdict.implied_price_lists(scenario, np.array(ref))
 
     text = _counterexample_text(payload)
     if args.report:
