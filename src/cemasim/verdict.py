@@ -73,12 +73,13 @@ def counterexample(scenario: Scenario) -> dict:
     runs end by tolerance. Raises what oracle.solve_centralized raises."""
     sol = oracle.solve_centralized(scenario)
     gen_nodes = scenario.agents.by_kind[0][0]
-    at_opt = implied_prices(scenario, sol.P[gen_nodes])
+    P_opt = sol.P[gen_nodes]
+    at_opt = implied_prices(scenario, P_opt)
     payload = {
         "oracle": {"lambda": sol.lam, "P": sol.P.tolist(), "objective": sol.objective,
                    "kkt_max_residual": oracle.kkt_check(sol.P, sol.lam, scenario).max_residual},
         "implied_prices_at_oracle_optimum": {v: p.tolist() for v, p in at_opt.items()},
-        "original_price_spread_at_optimum": float(at_opt["original"].max() - at_opt["original"].min()),
+        "original_price_spread_at_optimum": price_spread(at_opt["original"], interior(scenario, P_opt)),
     }
 
     variants = payload["variants"] = {}

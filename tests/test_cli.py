@@ -544,6 +544,28 @@ class TestCounterexampleCommand:
         text = report.read_text()
         assert "contradiction exhibited: yes" in text
 
+    def test_spread_at_the_optimum_skips_a_generator_at_its_bound(self, tmp_path):
+        # the second generator of this draw sits at p_min at the optimum, where
+        # only an inequality binds its price: over all three generators the
+        # original update's prices spread by 0.6233, over the two interior ones
+        # by 0.0849
+        scenario = random_scenario(1, 3, 3)
+        path = tmp_path / "s1.json"
+        save_scenario(scenario, path)
+        report = tmp_path / "cx.txt"
+        code = main(["counterexample", "--scenario", str(path), "--report", str(report)])
+        payload = json.loads((tmp_path / "cx.json").read_text())
+        P_gen = np.array(payload["oracle"]["P"])[list(scenario.generator_nodes)]
+        assert P_gen[1] == scenario.generators[1].p_min
+        prices = payload["implied_prices_at_oracle_optimum"]["original"]
+        assert max(prices) - min(prices) > 0.6
+        interior = [prices[0], prices[2]]
+        assert payload["original_price_spread_at_optimum"] == max(interior) - min(interior)
+        assert payload["original_price_spread_at_optimum"] < 0.1
+        assert payload["contradiction_exhibited"] is False
+        assert "contradiction exhibited: no" in report.read_text()
+        assert code == 3
+
     def test_zero_loss_scenario_exits_three(self, tmp_path):
         gens = (GeneratorParams(a=0.004, b=3.0, c=1.0, B=0.0, p_min=10.0, p_max=200.0),
                 GeneratorParams(a=0.002, b=4.0, c=1.0, B=0.0, p_min=20.0, p_max=300.0))
