@@ -10,9 +10,7 @@ from .engine import (
     InvalidScenarioError,
     IterationRecord,
     RunResult,
-    lambda_step,
     mismatch,
-    power_step,
     run,
 )
 from .oracle import (
@@ -22,6 +20,7 @@ from .oracle import (
     InfeasibleScenarioError,
     KktReport,
     brute_force_reference,
+    check_feasibility_condition,
     implied_prices,
     kkt_check,
     objective_value,
@@ -37,7 +36,6 @@ from .scenario import (
     Violation,
     WeightMatrices,
     build_uniform_weights,
-    check_feasibility_condition,
     load_scenario,
     ring_digraph,
     save_scenario,

@@ -105,13 +105,16 @@ def _load(path: str) -> Scenario:
 def _run_variant(scenario: Scenario, variant: str, output_dir: str, trace_stride: int) -> dict:
     """Runs one variant, writes its trace_, rounds_ and report_ files into
     `output_dir`; returns the run summary."""
+    # imported here: a process that writes no trace never compiles it
+    from . import trace
+
     out_dir = Path(output_dir)
     # the kept rounds' rows are written, a block of rounds at a time, while
     # the engine runs
     with (_writing(output_dir),
           open(out_dir / f"trace_{variant}.csv", "wb") as trace_file,
           open(out_dir / f"rounds_{variant}.csv", "wb") as rounds_file,
-          engine.csv_sink(scenario, trace_file, rounds_file) as sink):
+          trace.csv_sink(scenario, trace_file, rounds_file) as sink):
         result = engine.run(scenario, variant, trace_stride=trace_stride, sink=sink)
     summary = verdict.run_summary(scenario, result)
     with _writing(output_dir):

@@ -16,7 +16,6 @@ which is the engine's primary structural invariant.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,21 +76,21 @@ def mismatch(P: np.ndarray, scenario: Scenario) -> float:
     return float(np.sum(agents.sign * agents.net(np.asarray(P, dtype=float))))
 
 
+# The round's first two phases. `run` calls both through this module once a
+# round, so bench/spans.py can time them by rebinding the names. Neither
+# re-checks its inputs: `run` validated W and builds lam and xi itself, and
+# `best_response.responses` rejects a price vector of the wrong length.
+
+
 def lambda_step(lam: np.ndarray, xi: np.ndarray, W: np.ndarray, eta: float) -> np.ndarray:
     """Price update: row-stochastic mixing plus the surplus feedback term."""
-    lam = np.asarray(lam, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    if W.shape != (lam.size, lam.size) or xi.size != lam.size:
-        raise ValueError("dimension mismatch in lambda_step")
     return W @ lam + eta * xi
 
 
 def power_step(scenario: Scenario, variant: str, new_lambdas: np.ndarray) -> np.ndarray:
     """Per-agent best responses to the freshly mixed prices."""
-    gen_resp, _ = best_response.variant_pair(variant)
-    if len(new_lambdas) != scenario.n_nodes:
-        raise ValueError("dimension mismatch in power_step")
-    return best_response.responses(scenario.agents, new_lambdas, gen_resp)
+    return best_response.responses(scenario.agents, new_lambdas,
+                                   best_response.variant_pair(variant)[0])
 
 
 def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> RunResult:
@@ -184,98 +183,3 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
         max_conservation_gap=max_gap,
         final=final,
     )
-
-
-# ---------------------------------------------------------------------------
-# trace serialization, 17 significant digits throughout
-#
-# Rows end in CRLF, the csv module's default line ending, and every float is
-# its "%.17g". `csv_sink` writes both headers and yields the sink the CLI
-# passes to `run`: it keeps up to BLOCK_ROUNDS records, and no more than
-# BLOCK_VALUES floats, and writes their rows as one block, formatted in one
-# numpy pass (g17.format_g17). A block is a matrix of NUL-padded fields, one
-# row per CSV row, and its bytes with the NULs removed are the rows' text.
-# The block bounds what is held and the formatter's temporaries, so memory
-# stays flat in the number of rounds and bounded in the number of nodes.
-
-BLOCK_ROUNDS = 64
-BLOCK_VALUES = 4096
-TRACE_HEADER = b"k,node_id,kind,lambda,P,xi\r\n"
-ROUNDS_HEADER = b"k,mismatch,lambda_spread,max_abs_xi\r\n"
-_COMMA, _CRLF = np.frombuffer(b",", np.uint8), np.frombuffer(b"\r\n", np.uint8)
-
-
-def _fields(texts) -> np.ndarray:
-    """Byte strings as the rows of a NUL-padded uint8 matrix."""
-    width = max(map(len, texts))
-    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
-                         np.uint8).reshape(len(texts), width)
-
-
-def _rows(shape: tuple, fields: list) -> bytearray:
-    """Rows made of `fields`, NUL-padded uint8 arrays that broadcast to
-    shape + (their width,), side by side, as the bytes of a uint8 matrix."""
-    width = sum(field.shape[-1] for field in fields)
-    buf = bytearray(math.prod(shape) * width)
-    rows = np.frombuffer(buf, np.uint8).reshape(shape + (width,))
-    start = 0
-    for field in fields:
-        rows[..., start:start + field.shape[-1]] = field
-        start += field.shape[-1]
-    return buf
-
-
-def _block_rows(node_fields: np.ndarray, block: list) -> tuple:
-    """(trace rows, round-summary rows) of the records in `block`, NUL-padded;
-    all their floats go through one format_g17 call."""
-    # imported here: a process that writes no trace never compiles it
-    from .g17 import WIDTH, format_g17
-
-    rounds, n = len(block), node_fields.shape[0]
-    ks = _fields([b"%d" % rec.k for rec in block])
-    text = format_g17(np.concatenate(
-        [a for rec in block for a in (rec.lam, rec.P, rec.xi)]
-        + [np.array([(rec.mismatch, rec.lambda_spread, rec.max_abs_xi) for rec in block]).ravel()]))
-    lam, P, xi = text[:3 * n * rounds].reshape(rounds, 3, n, WIDTH).transpose(1, 0, 2, 3)
-    mism, spread, max_xi = text[3 * n * rounds:].reshape(rounds, 3, WIDTH).transpose(1, 0, 2)
-    return (_rows((rounds, n), [ks[:, None], node_fields, lam, _COMMA, P, _COMMA, xi, _CRLF]),
-            _rows((rounds,), [ks, _COMMA, mism, _COMMA, spread, _COMMA, max_xi, _CRLF]))
-
-
-def write_block(trace_file, rounds_file, node_fields: np.ndarray, block: list) -> None:
-    """Writes the records in `block` to binary files `trace_file`, rows
-    k,node_id,kind,lambda,P,xi, and `rounds_file`, one row
-    k,mismatch,lambda_spread,max_abs_xi each; row i of `node_fields` is
-    ",i,kind,". A row's text is its NUL-padded fields without the NULs."""
-    trace_rows, round_rows = _block_rows(node_fields, block)
-    trace_file.write(trace_rows.translate(None, b"\0"))
-    rounds_file.write(round_rows.translate(None, b"\0"))
-
-
-@contextmanager
-def csv_sink(scenario: Scenario, trace_file, rounds_file):
-    """Writes the trace and round-summary headers to binary files
-    `trace_file` and `rounds_file`; yields a sink for `run` that writes each
-    record's rows to both, a block of records at a time. The records still
-    held are written on the way out, also when the run raises."""
-    # a record has 3n + 3 floats
-    block_rounds = max(1, min(BLOCK_ROUNDS, BLOCK_VALUES // (3 * scenario.n_nodes + 3)))
-    node_fields = _fields([b",%d,%s," % (i, kind.value.encode())
-                           for i, kind in enumerate(scenario.graph.node_kind)])
-    trace_file.write(TRACE_HEADER)
-    rounds_file.write(ROUNDS_HEADER)
-    block = []
-
-    def sink(rec: IterationRecord) -> None:
-        block.append(rec)
-        if len(block) == block_rounds:
-            # emptied first: a write that fails is not repeated on the way out
-            records = block.copy()
-            block.clear()
-            write_block(trace_file, rounds_file, node_fields, records)
-
-    try:
-        yield sink
-    finally:
-        if block:
-            write_block(trace_file, rounds_file, node_fields, block)

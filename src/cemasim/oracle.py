@@ -24,7 +24,7 @@ from .best_response import (
     generator_response_corrected_array,
     variant_pair,
 )
-from .scenario import GeneratorParams, Scenario, check_feasibility_condition, is_real
+from .scenario import GeneratorParams, Scenario, is_real
 
 DEFAULT_SOLVE_TOL = 1e-9
 CERTIFY_TOL = 1e-6  # largest KKT residual that certifies a candidate
@@ -84,6 +84,15 @@ def _responses(scenario: Scenario, lam: float) -> np.ndarray:
 def _balance(scenario: Scenario, lam: float) -> float:
     agents = scenario.agents
     return _ordered_sum(-agents.sign * agents.net(_responses(scenario, lam)))
+
+
+def check_feasibility_condition(scenario: Scenario) -> tuple:
+    """(holds, slack) of the demand headroom sum_cons p_max >= sum_gen (p_min -
+    B*p_max^2), slack = LHS - RHS. When it holds, the inequality-relaxed
+    balance shares its optimum with the equality form."""
+    (_, gens), (_, cons) = scenario.agents.by_kind
+    slack = _ordered_sum(cons.p_max) - _ordered_sum(gens.p_min - gens.B * gens.p_max * gens.p_max)
+    return slack >= 0.0, slack
 
 
 def infeasibility(scenario: Scenario) -> str | None:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .best_response import consumer_response
-from .oracle import infeasibility
+from .oracle import InfeasibleScenarioError, solve_centralized
 from .scenario import (
     ConsumerParams,
     GeneratorParams,
@@ -68,9 +67,9 @@ def random_scenario(seed: int, n_generators: int = 2, n_consumers: int = 2) -> S
     """Random valid, feasible scenario; deterministic per seed.
 
     Parameters are drawn in the same order of magnitude as the table1
-    benchmark. Rejection enforces solvability (`oracle.infeasibility`) and a
-    binding balance at the optimum (floor supply below saturated demand):
-    with a slack balance the consensus iteration has no
+    benchmark. Rejection enforces solvability and a binding balance at the
+    optimum, a price above 0 from `solve_centralized` (floor supply below
+    saturated demand): with a slack balance the consensus iteration has no
     equality-balanced fixed point to find, even though the relaxed problem
     solves fine. The feedback gain is chosen from the response slopes so the
     iteration has a stability margin.
@@ -114,11 +113,10 @@ def random_scenario(seed: int, n_generators: int = 2, n_consumers: int = 2) -> S
             eps_l=1e-8,
             max_iters=200000,
         )
-        if infeasibility(scenario) is not None:
-            continue
-        floor_supply = sum(g.net(g.p_min) for g in generators)
-        saturated_demand = sum(consumer_response(c, 0.0) for c in consumers)
-        if floor_supply >= saturated_demand:
-            continue
-        return scenario
+        try:
+            # lam = 0 is solve's slack balance: floor supply covers demand
+            if solve_centralized(scenario).lam > 0.0:
+                return scenario
+        except InfeasibleScenarioError:
+            pass
     raise RuntimeError(f"could not draw a feasible scenario for seed {seed}")

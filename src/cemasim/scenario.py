@@ -353,18 +353,6 @@ def build_uniform_weights(g: Digraph) -> WeightMatrices:
     return WeightMatrices(W=W, Q=Q)
 
 
-def check_feasibility_condition(s: Scenario) -> tuple:
-    """Aggregate demand headroom: sum_cons p_max >= sum_gen (p_min - B*p_max^2).
-
-    Returns (holds, slack) with slack = LHS - RHS. When the condition holds,
-    the inequality-relaxed balance shares its optimum with the equality form.
-    """
-    lhs = sum(c.p_max for c in s.consumers)
-    rhs = sum(g.p_min - g.B * g.p_max * g.p_max for g in s.generators)
-    slack = lhs - rhs
-    return slack >= 0.0, slack
-
-
 def _finite(x) -> bool:
     """A number (`is_real`) that is finite as a float."""
     try:

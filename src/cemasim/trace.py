@@ -1,10 +1,18 @@
-"""`b"%.17g" % x` for a whole float64 array at once, byte for byte.
+"""The trace files' bytes: `run`'s trace and round-summary CSVs.
 
-For x != 0 let e = floor(log10|x|) and s = 16 - e. Then |x|·10^s lies in
-[10^16, 10^17), and its integer part D, rounded half to even on the exact
-binary value, holds the 17 significant digits that "%.17g" prints. The fast
-path takes 1e-27 <= |x| < 1e16, where 0 <= s <= 44 however log10 rounds its
-last bit, and computes |x|·10^s exactly in float64:
+Rows end in CRLF, the csv module's default line ending, and every float is
+its "%.17g". `csv_sink` yields the sink the CLI passes to `engine.run`: it
+keeps up to BLOCK_ROUNDS records, and no more than BLOCK_VALUES floats, and
+writes their rows as one block, a matrix of NUL-padded fields, one row per
+CSV row, whose bytes without the NULs are the rows' text.
+
+A block's floats go through one `format_g17` call, `b"%.17g" % x` for a
+whole float64 array, byte for byte. For x != 0 let e = floor(log10|x|) and
+s = 16 - e. Then |x|·10^s lies in [10^16, 10^17), and its integer part D,
+rounded half to even on the exact binary value, holds the 17 significant
+digits that "%.17g" prints. The fast path takes 1e-27 <= |x| < 1e16, where
+0 <= s <= 44 however log10 rounds its last bit, and computes |x|·10^s
+exactly in float64:
 
   * b = |x|·2^s is exact;
   * 5^s = P1 + P2 exactly, as two doubles (5^44 < 2^106);
@@ -19,28 +27,33 @@ log10, takes `b"%.17g" % x` instead: a fraction within FRACTION_TIE_BAND of
 (log10 off by one, or a round up to 10^17), and zero, NaN, +-inf and |x| out
 of range. So the fast path prints e as the decimal exponent.
 
-A value's row is 48 bytes, six little-endian words, with a fixed place for
-everything "%.17g" can print: the sign, the "0.000" prefix of the fixed
-form, the 17 digits with a slot for the point after each, and the exponent
-suffix. Table lookups fill the words with every part a value could print,
-and one mask, indexed by the count of significant digits, the place of the
-point and the sign, sets to NUL what it does not print: trailing zeros
-after the point, the point when no digit follows it, a minus sign of a
-positive value and the unused slots. So a row spells the value once its
-NULs are removed, and rows pack into text in one pass.
-
-Past log10 and the mask's bitwise and, the fast path keeps to float64
-arithmetic and table lookups, numpy code that a run of the engine has
-already paged in, so formatting adds little resident code to a process.
+A value's row is WIDTH = 48 bytes, six little-endian words, with a fixed
+place for everything "%.17g" can print: the sign, the "0.000" prefix of the
+fixed form, the 17 digits with a slot for the point after each, and the
+exponent suffix. Table lookups fill the words with every part a value could
+print, and one mask, indexed by the count of significant digits, the place
+of the point and the sign, sets to NUL what it does not print: trailing
+zeros after the point, the point when no digit follows it, a minus sign of a
+positive value and the unused slots. Past log10 and the mask, the fast path
+is float64 arithmetic and table lookups, code an engine run has paged in.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import struct
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
+
+from .scenario import Scenario
+
+BLOCK_ROUNDS = 64
+BLOCK_VALUES = 4096
+TRACE_HEADER = b"k,node_id,kind,lambda,P,xi\r\n"
+ROUNDS_HEADER = b"k,mismatch,lambda_spread,max_abs_xi\r\n"
 
 S_MAX = 44  # largest s = 16 - e of the fast path: 5**44 < 2**106
 FAST_MIN, FAST_MAX = 1e-27, 1e16  # |x| of the fast path
@@ -49,6 +62,20 @@ WIDTH = 48
 
 _WORD = np.dtype("<u8")
 _VELTKAMP = 2.0 ** 27 + 1
+_COMMA, _CRLF = np.frombuffer(b",", np.uint8), np.frombuffer(b"\r\n", np.uint8)
+
+
+def _padded(texts, width: int = 0) -> np.ndarray:
+    """Byte strings as the rows of a uint8 matrix, each NUL-padded to
+    `width` bytes, or to the longest one's length when width is 0. Rows of
+    8 bytes view as one little-endian word each."""
+    width = width or max(map(len, texts))
+    return np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                         np.uint8).reshape(len(texts), width)
+
+
+# ---------------------------------------------------------------------------
+# "%.17g" of a whole float64 array
 
 
 def _split(a):
@@ -56,11 +83,6 @@ def _split(a):
     c = _VELTKAMP * a
     hi = c - (c - a)
     return hi, a - hi
-
-
-def _words(strings) -> np.ndarray:
-    """Each string NUL-padded to 8 bytes, read as one little-endian word."""
-    return np.frombuffer(b"".join(s.encode().ljust(8, b"\0") for s in strings), _WORD)
 
 
 def _keep_mask(significant: int, point_after: int, negative: int) -> bytes:
@@ -104,12 +126,12 @@ def _tables() -> SimpleNamespace:
         # word 0, indexed by 11 * s + the leading digit: sign, prefix (5
         # bytes), leading digit, the point's slot after it. A leading "digit"
         # 10 (":") comes only where not ok, from a D that rounds up to 10^17
-        head=_words([f"-{'0.' + '0' * (-e - 1) if -4 <= e < 0 else '':\0<5}{chr(48 + d)}."
-                     for e in exponents for d in range(11)]),
+        head=_padded([f"-{'0.' + '0' * (-e - 1) if -4 <= e < 0 else '':\0<5}{chr(48 + d)}."
+                      .encode() for e in exponents for d in range(11)], 8).view(_WORD).ravel(),
         # words 1-4: four digits each, every one followed by its point's slot
         pairs=np.frombuffer(pairs, _WORD),
         # word 5, indexed by s: the exponent suffix
-        tail=_words([f"e{e:+03d}" if e < -4 else "" for e in exponents]),
+        tail=_padded([b"e%+03d" % e if e < -4 else b"" for e in exponents], 8).view(_WORD).ravel(),
         # indexed by s: the count of digits before the point
         point_after=np.array([max(e + 1, 0) if e >= -4 else 1 for e in exponents], dtype=float),
         # last[q] plus group g's offset 1 + 4g: the count of digits up to
@@ -203,3 +225,72 @@ def format_g17(x) -> np.ndarray:
         out[i] = 0
         out[i, :len(text)] = np.frombuffer(text, np.uint8)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the CSV rows, a block of records at a time
+
+
+def _rows(shape: tuple, fields: list) -> bytearray:
+    """Rows made of `fields`, NUL-padded uint8 arrays that broadcast to
+    shape + (their width,), side by side, as the bytes of a uint8 matrix."""
+    width = sum(field.shape[-1] for field in fields)
+    buf = bytearray(math.prod(shape) * width)
+    rows = np.frombuffer(buf, np.uint8).reshape(shape + (width,))
+    start = 0
+    for field in fields:
+        rows[..., start:start + field.shape[-1]] = field
+        start += field.shape[-1]
+    return buf
+
+
+def _block_rows(node_fields: np.ndarray, block: list) -> tuple:
+    """(trace rows, round-summary rows) of the records in `block`, NUL-padded;
+    all their floats go through one format_g17 call."""
+    rounds, n = len(block), node_fields.shape[0]
+    ks = _padded([b"%d" % rec.k for rec in block])
+    text = format_g17(np.concatenate(
+        [a for rec in block for a in (rec.lam, rec.P, rec.xi)]
+        + [np.array([(rec.mismatch, rec.lambda_spread, rec.max_abs_xi) for rec in block]).ravel()]))
+    lam, P, xi = text[:3 * n * rounds].reshape(rounds, 3, n, WIDTH).transpose(1, 0, 2, 3)
+    mism, spread, max_xi = text[3 * n * rounds:].reshape(rounds, 3, WIDTH).transpose(1, 0, 2)
+    return (_rows((rounds, n), [ks[:, None], node_fields, lam, _COMMA, P, _COMMA, xi, _CRLF]),
+            _rows((rounds,), [ks, _COMMA, mism, _COMMA, spread, _COMMA, max_xi, _CRLF]))
+
+
+def write_block(trace_file, rounds_file, node_fields: np.ndarray, block: list) -> None:
+    """Writes the trace and round-summary rows of the records in `block` to
+    binary files `trace_file` and `rounds_file`; row i of `node_fields` is
+    ",i,kind,". A row's text is its NUL-padded fields without the NULs."""
+    trace_rows, round_rows = _block_rows(node_fields, block)
+    trace_file.write(trace_rows.translate(None, b"\0"))
+    rounds_file.write(round_rows.translate(None, b"\0"))
+
+
+@contextmanager
+def csv_sink(scenario: Scenario, trace_file, rounds_file):
+    """Writes the trace and round-summary headers to binary files
+    `trace_file` and `rounds_file`; yields a sink for `engine.run` that
+    writes each record's rows to both, a block of records at a time. The
+    records still held are written on the way out, also when the run raises."""
+    # a record has 3n + 3 floats
+    block_rounds = max(1, min(BLOCK_ROUNDS, BLOCK_VALUES // (3 * scenario.n_nodes + 3)))
+    node_fields = _padded([b",%d,%s," % (i, kind.value.encode())
+                           for i, kind in enumerate(scenario.graph.node_kind)])
+    trace_file.write(TRACE_HEADER)
+    rounds_file.write(ROUNDS_HEADER)
+    block = []
+
+    def sink(rec) -> None:
+        block.append(rec)
+        if len(block) == block_rounds:
+            # emptied first: a write that fails is not repeated on the way out
+            records = block.copy()
+            block.clear()
+            write_block(trace_file, rounds_file, node_fields, records)
+
+    try:
+        yield sink
+    finally:
+        if block:
+            write_block(trace_file, rounds_file, node_fields, block)

@@ -78,7 +78,7 @@ def consumer_compare(p: ConsumerParams, lam: float):
 
 def reference_csv(scenario, records) -> tuple:
     """(trace CSV, round-summary CSV) bytes of `records` written one row at a
-    time with %-templates: the independent reference for engine.csv_sink."""
+    time with %-templates: the independent reference for trace.csv_sink."""
     kinds = [kind.value.encode() for kind in scenario.graph.node_kind]
     trace = [b"k,node_id,kind,lambda,P,xi\r\n"]
     rounds = [b"k,mismatch,lambda_spread,max_abs_xi\r\n"]

@@ -16,9 +16,9 @@ from cemasim import (
     generator_response_original,
     implied_prices,
     lambda_init,
-    power_step,
     run,
 )
+from cemasim.engine import power_step
 from cemasim.best_response import (
     VARIANTS,
     consumer_response_array,

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import signal
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -715,6 +716,41 @@ class TestParserBuiltOnce:
         assert main(["run", "--scenario", table1_file, "--output-dir", str(tmp_path / "b")]) == 0
         report = json.loads((tmp_path / "b" / "report_corrected.json").read_text())
         assert report["rounds"] == run(load_scenario(table1_file), "corrected").rounds
+
+
+class TestTraceModuleLoadedOnlyToWriteATrace:
+    """cemasim.trace, the CSV writers and the "%.17g" formatter, is imported
+    by `run` alone: a process that writes no trace never compiles it."""
+
+    def test_only_run_imports_it(self, table1_file, tmp_path):
+        script = f"""
+import json, sys
+import cemasim
+from cemasim.cli import main
+
+loaded = {{"import": "cemasim.trace" in sys.modules}}
+for name, argv in [
+    ("solve", ["solve", "--scenario", {table1_file!r}]),
+    ("kkt", ["kkt", "--scenario", {table1_file!r}, "--output", {str(tmp_path / "kkt.json")!r}]),
+    ("counterexample", ["counterexample", "--report", {str(tmp_path / "cx.txt")!r}]),
+    ("run", ["run", "--scenario", {table1_file!r}, "--output-dir", {str(tmp_path)!r}]),
+]:
+    code = main(argv)
+    loaded[name] = (code, "cemasim.trace" in sys.modules)
+print(json.dumps(loaded))
+"""
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert json.loads(out.splitlines()[-1]) == {
+            "import": False,
+            "solve": [0, False],
+            "kkt": [0, False],
+            "counterexample": [0, False],
+            "run": [0, True],
+        }
 
 
 @pytest.fixture(scope="module")

@@ -10,8 +10,6 @@ from cemasim import (
     ConsumerParams,
     GeneratorParams,
     lambda_init,
-    lambda_step,
-    power_step,
     table1_scenario,
 )
 from cemasim.engine import (
@@ -20,6 +18,8 @@ from cemasim.engine import (
     TERMINATED_BY_TOLERANCE,
     TERMINATED_DIVERGED,
     VARIANTS,
+    lambda_step,
+    power_step,
 )
 from cemasim.presets import random_scenario
 from test_engine import _kept, _scenario

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cemasim.g17 import FAST_MAX, FAST_MIN, WIDTH, fast_path, format_g17
+from cemasim.trace import FAST_MAX, FAST_MIN, WIDTH, fast_path, format_g17
 
 
 def _texts(x) -> list:

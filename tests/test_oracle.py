@@ -1,6 +1,7 @@
 """Centralized solver, KKT certification, implied prices, brute-force reference."""
 
 import dataclasses
+import struct
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from cemasim import (
     Scenario,
     brute_force_reference,
     build_uniform_weights,
+    check_feasibility_condition,
     implied_prices,
     kkt_check,
     objective_value,
@@ -20,7 +22,7 @@ from cemasim import (
     solve_centralized,
     validate_scenario,
 )
-from cemasim import generator_response_corrected, oracle
+from cemasim import consumer_response, generator_response_corrected, oracle, presets
 from cemasim.best_response import responses
 from cemasim.oracle import (
     GRID_CHUNK_POINTS,
@@ -60,6 +62,102 @@ def _scenario(gens, cons, **kw):
 def _scalar_responses(scenario, lam):
     """The per-node scalar loop at one price, the reference for the array form."""
     return responses(scenario.agents, [lam] * scenario.n_nodes, generator_response_corrected)
+
+
+def _feasibility_by_agent(scenario) -> tuple:
+    """check_feasibility_condition as Python sums over the parameter tuples:
+    the reference for the node-order helper sums."""
+    lhs = sum(c.p_max for c in scenario.consumers)
+    rhs = sum(g.p_min - g.B * g.p_max * g.p_max for g in scenario.generators)
+    slack = lhs - rhs
+    return slack >= 0.0, slack
+
+
+def _bits(result) -> tuple:
+    holds, slack = result
+    return type(holds), holds, struct.pack("<d", slack)
+
+
+class TestFeasibilityConditionSums:
+    """The headroom condition sums in node order through oracle._ordered_sum,
+    with the bits of the per-agent Python sums."""
+
+    @pytest.mark.parametrize("n_generators, n_consumers",
+                             [(1, 1), (1, 4), (3, 2), (7, 9), (25, 25)])
+    def test_equals_the_per_agent_sums_on_generated_scenarios(self, n_generators, n_consumers):
+        rng = np.random.default_rng(n_generators * 100 + n_consumers)
+        signs = set()
+        for _ in range(200):
+            gens = [GeneratorParams(a=0.004, b=4.0, c=0.0, B=rng.uniform(0.0, 1e-3),
+                                    p_min=p_min, p_max=p_min + rng.uniform(0.0, 400.0))
+                    for p_min in rng.uniform(0.0, 300.0, n_generators).tolist()]
+            # a cap scale per draw, so the headroom both holds and fails
+            cap = rng.uniform(0.0, 600.0) * n_generators / n_consumers
+            cons = [ConsumerParams(w=15.0, alpha=0.08, p_min=0.0, p_max=p_max)
+                    for p_max in rng.uniform(0.0, cap, n_consumers).tolist()]
+            s = _scenario(gens, cons)
+            assert _bits(check_feasibility_condition(s)) == _bits(_feasibility_by_agent(s))
+            signs.add(check_feasibility_condition(s)[0])
+        assert signs == {True, False}
+
+    @pytest.mark.parametrize("gen_bounds, con_caps, B", [
+        # exact zeros: integer sums, and B * p_max^2 = 1 exactly
+        ([(10.0, 20.0), (20.0, 30.0)], [15.0, 15.0], 0.0),
+        ([(11.0, 32.0)], [5.0, 5.0], 2.0 ** -10),
+        ([(0.0, 0.0)], [0.0], 0.0),
+        # one rounding either side of zero: 0.1 + 0.2 is 0.30000000000000004
+        ([(0.3, 1.0)], [0.1, 0.2], 0.0),
+        ([(0.1, 1.0), (0.2, 1.0)], [0.3], 0.0),
+    ])
+    def test_equals_the_per_agent_sums_at_the_equality_boundary(self, gen_bounds, con_caps, B):
+        gens = [GeneratorParams(a=0.004, b=4.0, c=0.0, B=B, p_min=lo, p_max=hi)
+                for lo, hi in gen_bounds]
+        cons = [ConsumerParams(w=15.0, alpha=0.08, p_min=0.0, p_max=cap) for cap in con_caps]
+        s = _scenario(gens, cons)
+        assert _bits(check_feasibility_condition(s)) == _bits(_feasibility_by_agent(s))
+
+
+def _floor_supply_rule(scenario) -> bool:
+    """random_scenario's earlier acceptance rule, the reference: solvable,
+    and the net supply with every generator at p_min below saturated demand."""
+    if oracle.infeasibility(scenario) is not None:
+        return False
+    floor_supply = sum(g.net(g.p_min) for g in scenario.generators)
+    saturated_demand = sum(consumer_response(c, 0.0) for c in scenario.consumers)
+    return floor_supply < saturated_demand
+
+
+class TestRandomScenarioAcceptance:
+    """random_scenario keeps a draw when solve_centralized prices it above 0:
+    the floor-supply rule, decided by solve's own slack-balance test."""
+
+    def test_agrees_with_the_floor_supply_rule_on_every_draw(self, monkeypatch):
+        candidates = []
+        solve = presets.solve_centralized
+
+        def recorded(scenario):
+            candidates.append(scenario)
+            return solve(scenario)
+
+        monkeypatch.setattr(presets, "solve_centralized", recorded)
+        infeasible = slack = 0
+        for sizes in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (4, 4)]:
+            for seed in range(30):
+                candidates.clear()
+                drawn = random_scenario(seed, *sizes)
+                assert candidates[-1] is drawn
+                for i, s in enumerate(candidates):
+                    accepted = i == len(candidates) - 1
+                    assert _floor_supply_rule(s) is accepted
+                    try:
+                        assert (solve(s).lam > 0.0) is accepted
+                    except InfeasibleScenarioError:
+                        assert not accepted
+                        infeasible += 1
+                    else:
+                        slack += not accepted
+        # rejected draws of both kinds were compared
+        assert infeasible > 0 and slack > 0
 
 
 class TestArrayFormBisection:
