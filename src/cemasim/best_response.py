@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .scenario import AgentParams, AgentView, ConsumerParams, GeneratorParams
+from .scenario import AgentParams, ConsumerParams, GeneratorParams
 
 
 def _require_finite(lam: float) -> None:
@@ -99,19 +99,6 @@ def consumer_response_array(p: ConsumerParams, lam) -> np.ndarray:
     """
     _require_price(lam)
     return _clip_array((p.w - lam) / (2.0 * p.alpha), p.p_min, p.p_max)
-
-
-def responses(agents: AgentView, lam, generator_response) -> np.ndarray:
-    """Node-order best responses, node i to the price lam[i].
-
-    Scalar closed forms on purpose: at a handful of nodes numpy's per-call
-    overhead costs more than the arithmetic it would vectorize. The oracle,
-    which prices every node alike, uses the array forms above instead.
-    """
-    return np.array([
-        generator_response(p, x) if isinstance(p, GeneratorParams) else consumer_response(p, x)
-        for p, x in zip(agents.params, np.asarray(lam, dtype=float).tolist(), strict=True)
-    ])
 
 
 def _variant_table() -> dict:

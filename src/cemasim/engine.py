@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import best_response
-from .scenario import Scenario, is_integer, validate_scenario
+from .scenario import GeneratorParams, Scenario, is_integer, validate_scenario
 
 TERMINATED_BY_TOLERANCE = "by-tolerance"
 TERMINATED_BY_MAX_ITERS = "by-max-iters"
@@ -62,12 +62,16 @@ class IterationRecord:
 class RunResult:
     terminated: str
     variant: str
-    rounds: int
     # largest per-round |sum(xi) - mismatch| seen, tracked even when the
     # trace is strided
     max_conservation_gap: float
     # the last round's record, which a sink also received last
     final: IterationRecord
+
+    # the round k the run ended at, kept once, in the final record
+    @property
+    def rounds(self) -> int:
+        return self.final.k
 
 
 def mismatch(P: np.ndarray, scenario: Scenario) -> float:
@@ -79,7 +83,8 @@ def mismatch(P: np.ndarray, scenario: Scenario) -> float:
 # The round's first two phases. `run` calls both through this module once a
 # round, so bench/spans.py can time them by rebinding the names. Neither
 # re-checks its inputs: `run` validated W and builds lam and xi itself, and
-# `best_response.responses` rejects a price vector of the wrong length.
+# `power_step`, the one per-node best-response loop, rejects a price vector
+# of the wrong length through its strict zip.
 
 
 def lambda_step(lam: np.ndarray, xi: np.ndarray, W: np.ndarray, eta: float) -> np.ndarray:
@@ -87,10 +92,19 @@ def lambda_step(lam: np.ndarray, xi: np.ndarray, W: np.ndarray, eta: float) -> n
     return W @ lam + eta * xi
 
 
-def power_step(scenario: Scenario, variant: str, new_lambdas: np.ndarray) -> np.ndarray:
-    """Per-agent best responses to the freshly mixed prices."""
-    return best_response.responses(scenario.agents, new_lambdas,
-                                   best_response.variant_pair(variant)[0])
+def power_step(scenario: Scenario, generator_response, new_lambdas: np.ndarray) -> np.ndarray:
+    """Node-order best responses, node i to its mixed price new_lambdas[i].
+
+    Scalar closed forms on purpose: at a handful of nodes numpy's per-call
+    overhead costs more than the arithmetic it would vectorize.
+    """
+    # read off the module per call, so a consumer_response rebound there
+    # (bench/spans.py counts calls that way) is the one called
+    consumer_response = best_response.consumer_response
+    return np.array([
+        generator_response(p, x) if isinstance(p, GeneratorParams) else consumer_response(p, x)
+        for p, x in zip(scenario.agents.params, new_lambdas.tolist(), strict=True)
+    ])
 
 
 def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> RunResult:
@@ -105,7 +119,8 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
     violations = validate_scenario(scenario)
     if violations:
         raise InvalidScenarioError(violations)
-    best_response.variant_pair(variant)
+    # the variant fixes the generator's update for the whole run
+    generator_response = best_response.variant_pair(variant)[0]
     if not (is_integer(trace_stride) and trace_stride >= 1):
         raise ValueError("trace_stride must be an integer >= 1")
 
@@ -157,7 +172,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
             lam = lam_new
             terminated = TERMINATED_DIVERGED
             continue
-        P_new = power_step(scenario, variant, lam_new)
+        P_new = power_step(scenario, generator_response, lam_new)
         snet_new = sign * agents.net(P_new)
         xi_new = Q @ xi + (snet_new - snet)
 
@@ -179,7 +194,6 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
     return RunResult(
         terminated=terminated,
         variant=variant,
-        rounds=k,
         max_conservation_gap=max_gap,
         final=final,
     )

@@ -32,9 +32,12 @@ class NodeKind(str, Enum):
     CONSUMER = "consumer"
 
 
+_NODE_KIND_VALUES = frozenset(kind.value for kind in NodeKind)
+
+
 def _node_kind(k) -> NodeKind:
     """NodeKind(k), whose own error message would print k in full."""
-    if not (isinstance(k, str) and k in {kind.value for kind in NodeKind}):
+    if not (isinstance(k, str) and k in _NODE_KIND_VALUES):
         raise ValueError(f"{reprlib.repr(k)} is not a valid NodeKind")
     return NodeKind(k)
 

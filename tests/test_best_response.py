@@ -23,7 +23,6 @@ from cemasim.best_response import (
     VARIANTS,
     consumer_response_array,
     generator_response_corrected_array,
-    responses,
     variant_pair,
 )
 from conftest import (
@@ -269,7 +268,6 @@ class TestVariantTable:
     def test_unknown_variant_message_is_shared(self, table1):
         calls = (
             lambda: variant_pair("bogus"),
-            lambda: power_step(table1, "bogus", np.zeros(4)),
             lambda: run(table1, "bogus"),
             lambda: implied_prices(np.zeros(2), table1, "bogus"),
         )
@@ -285,11 +283,11 @@ class TestResponsesLoop:
         for gen_resp in (generator_response_original, generator_response_corrected):
             want = [gen_resp(p, x) if isinstance(p, GeneratorParams) else consumer_response(p, x)
                     for p, x in zip(table1.agents.params, lam.tolist())]
-            np.testing.assert_array_equal(responses(table1.agents, lam, gen_resp), want)
+            np.testing.assert_array_equal(power_step(table1, gen_resp, lam), want)
 
     def test_rejects_wrong_price_count(self, table1):
         with pytest.raises(ValueError):
-            responses(table1.agents, [1.0, 2.0], generator_response_corrected)
+            power_step(table1, generator_response_corrected, np.array([1.0, 2.0]))
 
 
 @st.composite

@@ -16,8 +16,11 @@ from cemasim import (
     Scenario,
     Violation,
     WeightMatrices,
+    best_response,
     build_uniform_weights,
     engine,
+    generator_response_corrected,
+    generator_response_original,
     implied_prices,
     kkt_check,
     lambda_init,
@@ -94,25 +97,58 @@ class TestPowerStep:
         s = _scenario(gens, cons)
         lams = np.array([4.4, 5.1, 3.2, 6.0])
         np.testing.assert_array_equal(
-            power_step(s, "original", lams), power_step(s, "corrected", lams)
+            power_step(s, generator_response_original, lams),
+            power_step(s, generator_response_corrected, lams),
         )
 
     def test_lower_clip_both_variants(self, table1):
         lams = np.full(4, 5.56)
-        for variant in ("original", "corrected"):
-            assert power_step(table1, variant, lams)[0] == 60.0
+        for response in (generator_response_original, generator_response_corrected):
+            assert power_step(table1, response, lams)[0] == 60.0
 
     def test_consumers_at_moderate_price(self, table1):
-        out = power_step(table1, "corrected", np.full(4, 6.2))
+        out = power_step(table1, generator_response_corrected, np.full(4, 6.2))
         np.testing.assert_array_equal(out[2:], [100.34, 100.0])
 
     def test_unknown_variant(self, table1):
         with pytest.raises(ValueError):
-            power_step(table1, "fixed", np.zeros(4))
+            run(table1, "fixed")
 
     def test_dimension_mismatch(self, table1):
         with pytest.raises(ValueError, match="zip.. argument 2 is shorter than argument 1"):
-            power_step(table1, "corrected", np.zeros(3))
+            power_step(table1, generator_response_corrected, np.zeros(3))
+
+
+class TestResponseCounts:
+    """The counting contract bench/spans.py relies on: a best response rebound
+    on `cemasim.best_response` is the one `run` calls, once per node and
+    round, and the variant is looked up once per run."""
+
+    @pytest.mark.parametrize("make", [table1_scenario, lambda: random_scenario(1, 8, 8)],
+                             ids=["table1", "random-8-8"])
+    @pytest.mark.parametrize("variant", engine.VARIANTS)
+    def test_one_call_per_node_and_round(self, monkeypatch, make, variant):
+        scenario = make()
+        calls = dict.fromkeys(("generator_response_original", "generator_response_corrected",
+                               "consumer_response", "variant_pair"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(best_response, name, counted(name, getattr(best_response, name)))
+        result = run(scenario, variant)
+        assert result.terminated == TERMINATED_BY_TOLERANCE
+        other = ({"original", "corrected"} - {variant}).pop()
+        assert calls == {
+            f"generator_response_{variant}": result.rounds * len(scenario.generators),
+            f"generator_response_{other}": 0,
+            "consumer_response": result.rounds * len(scenario.consumers),
+            "variant_pair": 1,
+        }
 
 
 class TestSurplusStep:
@@ -172,7 +208,7 @@ class TestRoundOneRegression:
         agents = table1.agents
         lam0 = np.array([lambda_init(agents.params[i]) for i in range(4)])
         lam1 = lambda_step(lam0, np.zeros(4), table1.weights.W, table1.eta)
-        P1 = power_step(table1, "corrected", lam1)
+        P1 = power_step(table1, generator_response_corrected, lam1)
         # routing from the zero state: Q @ 0 + sign * (net(P1) - net(0))
         xi1 = agents.sign * agents.net(P1)
         _, records = _kept(table1, "corrected")
@@ -266,6 +302,14 @@ class TestRun:
         s = dataclasses.replace(table1, eta=2.0)
         with pytest.raises(InvalidScenarioError):
             run(s, "corrected")
+
+    def test_result_pickles_with_its_round_count(self, table1):
+        # rounds is read from the final record, not stored: a result that
+        # crosses a process boundary pickled still carries it
+        result = run(table1, "corrected")
+        back = pickle.loads(pickle.dumps(result))
+        assert back.rounds == result.rounds == result.final.k == 254
+        assert back.final.P.tobytes() == result.final.P.tobytes()
 
     def test_invalid_scenario_error_pickles(self):
         # a forked `run --variant both` sends the child's exception back pickled

@@ -12,6 +12,7 @@ from cemasim import (
     lambda_init,
     table1_scenario,
 )
+from cemasim.best_response import variant_pair
 from cemasim.engine import (
     SURPLUS_DIVERGENCE_LIMIT,
     TERMINATED_BY_MAX_ITERS,
@@ -37,6 +38,7 @@ def _reference_run(scenario, variant, trace_stride):
     W, Q = scenario.weights.W, scenario.weights.Q
     agents = scenario.agents
     sign = agents.sign
+    generator_response = variant_pair(variant)[0]
     lam = np.array([lambda_init(p) for p in agents.params])
     P = np.zeros(scenario.n_nodes)
     net = agents.net(P)
@@ -51,7 +53,7 @@ def _reference_run(scenario, variant, trace_stride):
             lam = lam_new
             terminated = TERMINATED_DIVERGED
             break
-        P_new = power_step(scenario, variant, lam_new)
+        P_new = power_step(scenario, generator_response, lam_new)
         net_new = agents.net(P_new)
         xi_new = Q @ xi + sign * (net_new - net)
         mism = float(np.sum(sign * net_new))

@@ -23,7 +23,7 @@ from cemasim import (
     validate_scenario,
 )
 from cemasim import consumer_response, generator_response_corrected, oracle, presets
-from cemasim.best_response import responses
+from cemasim.engine import power_step
 from cemasim.oracle import (
     GRID_CHUNK_POINTS,
     _axis_points,
@@ -61,7 +61,7 @@ def _scenario(gens, cons, **kw):
 
 def _scalar_responses(scenario, lam):
     """The per-node scalar loop at one price, the reference for the array form."""
-    return responses(scenario.agents, [lam] * scenario.n_nodes, generator_response_corrected)
+    return power_step(scenario, generator_response_corrected, np.full(scenario.n_nodes, lam))
 
 
 def _feasibility_by_agent(scenario) -> tuple:
