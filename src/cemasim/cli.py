@@ -126,9 +126,12 @@ def _run_variant(scenario: Scenario, variant: str, output_dir: str, trace_stride
 # child, only on scenarios with at least this many nodes. The node count
 # stands in for the run's length, which is not known before the run. A fork
 # costs about 5 ms, and the parent then takes a write fault on each page it
-# touches; on 2 vCPUs that outweighs the overlap on the 4-node table1 (538
-# rounds over both variants: 1.27x the serial time), and the overlap wins
-# from 6 nodes up (0.59-0.77x; the serial against forked sweep in CHANGES.md).
+# touches. The latest re-sweep on 2 vCPUs (CHANGES.md) shows that the node
+# count misclassifies short and long runs: on the 4-node table1 (538 rounds
+# over both variants) the forked/serial time ratio has quartiles
+# 0.70/1.28/1.39, so the fork mostly loses, while a 4-node ring with a longer
+# run gains from it (median ratio 0.73, forked faster in 10 of 12 pairs).
+# Deciding on the predicted work instead is ROADMAP item 1(f).
 FORK_MIN_NODES = 6
 
 

@@ -10,11 +10,14 @@ raising, so invalid data can be inspected.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
 import re
 import reprlib
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -32,14 +35,15 @@ class NodeKind(str, Enum):
     CONSUMER = "consumer"
 
 
-_NODE_KIND_VALUES = frozenset(kind.value for kind in NodeKind)
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
 
 
 def _node_kind(k) -> NodeKind:
     """NodeKind(k), whose own error message would print k in full."""
-    if not (isinstance(k, str) and k in _NODE_KIND_VALUES):
+    kind = _NODE_KINDS.get(k) if isinstance(k, str) else None
+    if kind is None:
         raise ValueError(f"{reprlib.repr(k)} is not a valid NodeKind")
-    return NodeKind(k)
+    return kind
 
 
 @dataclass(frozen=True)
@@ -149,33 +153,34 @@ class Digraph:
         if self.n < 1:
             raise ValueError("graph needs at least one node")
         given = tuple(self.edges)
-        # one pass over the set of endpoint types and their range; only a
-        # graph that fails it is walked edge by edge, to name its first offender
+        n = self.n
+        # one pass keeps the edges that are pairs of ints in range; only a
+        # graph with any other edge is walked again, to name its first
+        # offender or to take numpy ints as Python ints
         try:
-            edges = tuple([(u, v) for u, v in given])
-            ends = list(chain.from_iterable(edges))
-            clean = (all(map(_integer_type, set(map(type, ends))))
-                     and min(ends, default=0) >= 0 and max(ends, default=0) < self.n)
+            edges = tuple([(u, v) for u, v in given
+                           if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n])
         except (TypeError, ValueError):
-            clean = False
-        if not clean:
+            edges = ()
+        if len(edges) != len(given):
             for u, v in given:
                 # int() would load 1.7 and true as 1
                 if not (is_integer(u) and is_integer(v)):
                     raise ValueError(f"edge ({reprlib.repr(u)}, {reprlib.repr(v)}) "
                                      "has a non-integer endpoint")
             for u, v in given:
-                if not (0 <= u < self.n and 0 <= v < self.n):
-                    raise ValueError(f"edge ({u}, {v}) out of range for {self.n} nodes")
-        # numpy ints as Python ints
-        object.__setattr__(self, "edges", tuple([(int(u), int(v)) for u, v in edges]))
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
+            edges = tuple([(int(u), int(v)) for u, v in given])
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "node_kind", tuple(map(_node_kind, self.node_kind)))
 
     def adjacency(self) -> np.ndarray:
         """The n x n boolean matrix with [v, u] set for each edge (u, v): the
         entries a weight matrix may fill, since its [i][j] carries j -> i."""
         adj = np.zeros((self.n, self.n), dtype=bool)
-        u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * len(self.edges))
+        u, v = ends.reshape(-1, 2).T
         adj[v, u] = True
         return adj
 
@@ -358,6 +363,8 @@ def build_uniform_weights(g: Digraph) -> WeightMatrices:
 
 def _finite(x) -> bool:
     """A number (`is_real`) that is finite as a float."""
+    if type(x) is float:
+        return math.isfinite(x)
     try:
         return is_real(x) and math.isfinite(x)
     except OverflowError:  # an int past float range
@@ -376,8 +383,8 @@ def validate_scenario(s: Scenario) -> list:
         out.append(Violation(node=node, rule=rule, message=message))
 
     kinds = s.graph.node_kind
-    n_gen_nodes = sum(1 for k in kinds if k is NodeKind.GENERATOR)
-    n_con_nodes = len(kinds) - n_gen_nodes
+    gen_nodes, con_nodes = s.generator_nodes, s.consumer_nodes
+    n_gen_nodes, n_con_nodes = len(gen_nodes), len(con_nodes)
     if len(kinds) != s.graph.n:
         add(-1, "graph.kinds_length", f"node_kind has {len(kinds)} entries for {s.graph.n} nodes")
     if s.graph.n != len(s.generators) + len(s.consumers):
@@ -397,10 +404,9 @@ def validate_scenario(s: Scenario) -> list:
         if not s.graph.is_strongly_connected():
             add(-1, "graph.strongly_connected", "graph is not strongly connected")
 
-    gen_nodes = s.generator_nodes
     for j, g in enumerate(s.generators):
-        node = gen_nodes[j] if j < len(gen_nodes) else -1
-        if not all(_finite(x) for x in (g.a, g.b, g.c, g.B, g.p_min, g.p_max)):
+        node = gen_nodes[j] if j < n_gen_nodes else -1
+        if not all(map(_finite, (g.a, g.b, g.c, g.B, g.p_min, g.p_max))):
             add(node, "gen.finite", f"generator {j} has non-finite or non-numeric parameters")
             continue
         before = len(out)
@@ -420,10 +426,9 @@ def validate_scenario(s: Scenario) -> list:
             add(node, "gen.price_finite",
                 f"generator {j}: loss-adjusted marginal cost is not finite at p_min or p_max")
 
-    con_nodes = s.consumer_nodes
     for j, c in enumerate(s.consumers):
-        node = con_nodes[j] if j < len(con_nodes) else -1
-        if not all(_finite(x) for x in (c.w, c.alpha, c.p_min, c.p_max)):
+        node = con_nodes[j] if j < n_con_nodes else -1
+        if not all(map(_finite, (c.w, c.alpha, c.p_min, c.p_max))):
             add(node, "con.finite", f"consumer {j} has non-finite or non-numeric parameters")
             continue
         if c.w <= 0:
@@ -442,22 +447,32 @@ def validate_scenario(s: Scenario) -> list:
             add(-1, "weights.W_nonnegative", "W has negative entries")
         if np.any(Q < 0):
             add(-1, "weights.Q_nonnegative", "Q has negative entries")
-        row_err = np.abs(W.sum(axis=1) - 1.0)
+        W_sums, Q_sums = W.sum(axis=1), Q.sum(axis=0)
+        row_err = np.abs(W_sums - 1.0)
         for i in np.nonzero(row_err > STOCHASTIC_TOL)[0]:
             add(int(i), "weights.W_row_stochastic",
                 f"row {i} of W sums to {W[i].sum()!r}, off by {row_err[i]:.3e}")
-        col_err = np.abs(Q.sum(axis=0) - 1.0)
+        col_err = np.abs(Q_sums - 1.0)
         for j in np.nonzero(col_err > STOCHASTIC_TOL)[0]:
             add(int(j), "weights.Q_col_stochastic",
                 f"column {j} of Q sums to {Q[:, j].sum()!r}, off by {col_err[j]:.3e}")
-        # entry [i][j] needs edge (j, i) or i == j
-        no_edge = ~(s.graph.adjacency() | np.eye(n, dtype=bool))
-        for name, M in (("W", W), ("Q", Q)):
-            if not np.all(np.isfinite(M)):
+        # entry [i][j] needs edge (j, i) or i == j. The n x n masks are built
+        # in place and searched entry by entry only once any() finds a hit
+        no_edge = s.graph.adjacency()
+        np.fill_diagonal(no_edge, True)
+        np.logical_not(no_edge, out=no_edge)
+        off_support = np.empty_like(no_edge)
+        for name, M, sums in (("W", W, W_sums), ("Q", Q, Q_sums)):
+            # a NaN or inf entry makes its row's (column's) sum NaN or inf, so
+            # finite sums clear M without a pass over its entries
+            if not (np.isfinite(sums).all() or np.isfinite(M).all()):
                 add(-1, "weights.finite", f"{name} has non-finite entries")
-            for i, j in zip(*np.nonzero((M > 0) & no_edge)):
-                add(int(i), f"weights.{name}_sparsity",
-                    f"{name}[{i}][{j}] > 0 without edge {j}->{i}")
+            np.greater(M, 0, out=off_support)
+            off_support &= no_edge
+            if off_support.any():
+                for i, j in zip(*np.nonzero(off_support)):
+                    add(int(i), f"weights.{name}_sparsity",
+                        f"{name}[{i}][{j}] > 0 without edge {j}->{i}")
 
     # a constant read from a file may be a list nested a thousand deep, whose
     # full repr exceeds the recursion limit
@@ -608,5 +623,38 @@ def read_json(path):
         raise ValueError("JSON nesting too deep to read") from None
 
 
+# gc.disable() is process-wide, so overlapping loads in several threads share
+# one pause: the first to enter records the caller's setting, the last to
+# leave restores it
+_pause_lock = threading.Lock()
+_pauses = 0
+_resume = False
+
+
+@contextmanager
+def _collector_paused():
+    """The cyclic garbage collector off inside, restored to the setting it had
+    when no pause was open, on every exit; a collector the host turned off
+    stays off."""
+    global _pauses, _resume
+    with _pause_lock:
+        if _pauses == 0:
+            _resume = gc.isenabled()
+            gc.disable()
+        _pauses += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _pauses -= 1
+            if _pauses == 0 and _resume:
+                gc.enable()
+
+
 def load_scenario(path) -> Scenario:
-    return scenario_from_dict(read_json(path))
+    # A parsed file is a tree of lists and dicts, which holds no reference
+    # cycle, so pausing the collector defers nothing it could free. Unpaused,
+    # its young-generation passes fire while the W and Q rows are built and
+    # walk every entry of each young row
+    with _collector_paused():
+        return scenario_from_dict(read_json(path))

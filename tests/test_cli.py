@@ -1,6 +1,9 @@
 """CLI contract: subcommands, exit codes, file outputs, determinism."""
 
+import contextlib
 import dataclasses
+import gc
+import io
 import json
 import math
 import os
@@ -14,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemasim import (
     ConsumerParams,
@@ -31,6 +36,7 @@ from cemasim import (
 from cemasim import cli
 from cemasim.cli import main
 from cemasim.presets import random_scenario, ring_digraph, table1_scenario
+from cemasim.scenario import MAX_JSON_DEPTH
 from conftest import reference_csv
 from test_engine import _kept
 
@@ -429,6 +435,96 @@ class TestDeeplyNestedFiles:
         err = capsys.readouterr().err
         assert "[[[[[[[...]]]]]]]" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+# where a bad value may go in a scenario dict, as a path of keys and indices;
+# table1 has 2 generators, 2 consumers, 4 nodes and 12 edges
+_VALUE_SITES = {
+    "weights": [("weights", m, i, j) for m in ("W", "Q") for i in range(4) for j in range(4)],
+    "generators": [("generators", j, f) for j in range(2) for f in ("a", "b", "c", "B", "p_min", "p_max")],
+    "consumers": [("consumers", j, f) for j in range(2) for f in ("w", "alpha", "p_min", "p_max")],
+    "constants": [("eta",), ("eps_m",), ("eps_l",), ("max_iters",)],
+    "edges": [("graph", "edges", k, e) for k in range(12) for e in range(2)],
+}
+_KEYS = (
+    [(k,) for k in ("generators", "consumers", "graph", "weights", "eta", "eps_m", "eps_l",
+                    "max_iters")]
+    + [("graph", k) for k in ("n", "kinds", "edges")] + [("weights", "W"), ("weights", "Q")]
+    + [("generators", 1, f) for f in ("a", "B", "p_max")] + [("consumers", 0, f) for f in ("w", "p_min")]
+)
+_DEEP = "DEEP"
+
+
+def _value_site():
+    # a part of the file first, so that each is drawn about as often
+    return st.sampled_from(sorted(_VALUE_SITES)).flatmap(lambda part: st.sampled_from(_VALUE_SITES[part]))
+
+
+def _at(d, path):
+    for key in path[:-1]:
+        d = d[key]
+    return d, path[-1]
+
+
+@st.composite
+def _malformed_files(draw):
+    """The text of a table1 scenario file broken in one way that the readers
+    or validate_scenario must turn into bad input."""
+    d = scenario_to_dict(table1_scenario())
+    kind = draw(st.sampled_from(["drop", "value", "truncate", "deep", "n"]))
+    if kind == "drop":
+        parent, key = _at(d, draw(st.sampled_from(_KEYS)))
+        del parent[key]
+    elif kind == "value":
+        parent, key = _at(d, draw(_value_site()))
+        parent[key] = draw(st.sampled_from([True, False, "0.5", None, [[0.5]], [1, [2]]]))
+    elif kind == "n":
+        d["graph"]["n"] = draw(st.integers(-2, 12).filter(lambda n: n != 4))
+    elif kind == "deep":
+        parent, key = _at(d, draw(_value_site()))
+        parent[key] = _DEEP
+    text = json.dumps(d, indent=2, sort_keys=True)
+    if kind == "truncate":
+        # every proper prefix of an object's text is invalid JSON
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif kind == "deep":
+        depth = draw(st.integers(MAX_JSON_DEPTH, 3 * MAX_JSON_DEPTH))
+        text = text.replace(json.dumps(_DEEP), "[" * depth + "]" * depth)
+    return text
+
+
+class TestMalformedScenarioFiles:
+    """Generated malformed scenario files through `main`: every command that
+    reads one exits 1 with a one-kind message and no traceback, and leaves
+    the garbage collector's setting as it found it."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(text=_malformed_files(), collector_on=st.booleans())
+    def test_bad_input_exits_one(self, tmp_path_factory, text, collector_on):
+        directory = tmp_path_factory.mktemp("malformed")
+        path = directory / "bad.json"
+        path.write_text(text)
+        prefixes = (f"cannot read scenario {str(path)!r}: ", "invalid scenario: ")
+        was_on = gc.isenabled()
+        try:
+            (gc.enable if collector_on else gc.disable)()
+            for argv in (["solve", "--scenario", str(path)],
+                         ["kkt", "--scenario", str(path), "--output", str(directory / "kkt.json")],
+                         ["run", "--scenario", str(path), "--output-dir", str(directory / "out")]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                assert gc.isenabled() == collector_on, argv
+                lines = err.getvalue().splitlines()
+                assert code == 1, (argv, lines)
+                assert lines and "Traceback" not in err.getvalue()
+                assert lines[0].startswith(prefixes), lines
+                if lines[0].startswith(prefixes[1]):
+                    assert all(line.startswith(prefixes[1]) for line in lines), lines
+                else:
+                    assert len(lines) == 1, lines
+        finally:
+            (gc.enable if was_on else gc.disable)()
 
 
 class TestKktCommand:

@@ -1,12 +1,19 @@
 """Domain model: validation, weights, feasibility, net injection, JSON files."""
 
 import dataclasses
+import gc
 import json
+import math
+import reprlib
+import sys
+import threading
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemasim import (
     ConsumerParams,
@@ -25,9 +32,10 @@ from cemasim import (
     scenario_to_dict,
     validate_scenario,
 )
+from cemasim import scenario as scenario_module
 from cemasim.best_response import generator_response_corrected
 from cemasim.presets import ring_digraph
-from cemasim.scenario import real_array
+from cemasim.scenario import STOCHASTIC_TOL, NodeKind, Violation, is_integer, is_real, real_array
 
 
 GEN1 = GeneratorParams(a=0.0024, b=5.56, c=30.0, B=0.00021, p_min=60.0, p_max=339.69)
@@ -545,6 +553,108 @@ class TestScenarioFiles:
             scenario_from_dict(d)
 
 
+@pytest.fixture
+def collector_setting():
+    """Restores the garbage collector's setting after the test."""
+    was_on = gc.isenabled()
+    yield
+    (gc.enable if was_on else gc.disable)()
+
+
+class TestCollectorPausedWhileLoading:
+    """load_scenario turns the cyclic collector off while it reads and
+    converts a file, and leaves the caller's setting as it found it."""
+
+    @pytest.mark.parametrize("collector_on", [True, False])
+    @pytest.mark.parametrize("outcome", ["loads", "unreadable", "invalid JSON", "bad edge"])
+    def test_setting_restored_on_every_exit(self, table1, tmp_path, collector_setting,
+                                            collector_on, outcome):
+        path = tmp_path / "s.json"
+        if outcome == "loads":
+            save_scenario(table1, path)
+        elif outcome == "invalid JSON":
+            path.write_text("{")
+        elif outcome == "bad edge":
+            d = scenario_to_dict(table1)
+            d["graph"]["edges"][0] = [0, 1.5]
+            path.write_text(json.dumps(d))
+        (gc.enable if collector_on else gc.disable)()
+        if outcome == "loads":
+            load_scenario(path)
+        else:
+            with pytest.raises((OSError, ValueError)):
+                load_scenario(path)
+        assert gc.isenabled() == collector_on
+
+    def test_collector_off_while_reading_and_converting(self, table1, tmp_path, monkeypatch,
+                                                        collector_setting):
+        path = tmp_path / "s.json"
+        save_scenario(table1, path)
+        seen = []
+        for name in ("read_json", "scenario_from_dict"):
+            def spy(arg, _fn=getattr(scenario_module, name)):
+                seen.append(gc.isenabled())
+                return _fn(arg)
+            monkeypatch.setattr(scenario_module, name, spy)
+        gc.enable()
+        load_scenario(path)
+        assert seen == [False, False] and gc.isenabled()
+
+    def test_overlapping_loads_share_one_pause(self, table1, tmp_path, monkeypatch,
+                                               collector_setting):
+        # the first load in records the setting and the last one out restores
+        # it: an early restore would turn the collector on under the other load
+        path = tmp_path / "s.json"
+        save_scenario(table1, path)
+        read_json = scenario_module.read_json
+        entered = {"a": threading.Event(), "b": threading.Event()}
+        release = {"a": threading.Event(), "b": threading.Event()}
+
+        def blocking_read(p):
+            name = threading.current_thread().name
+            entered[name].set()
+            assert release[name].wait(10)
+            return read_json(p)
+
+        monkeypatch.setattr(scenario_module, "read_json", blocking_read)
+        gc.enable()
+        threads = {name: threading.Thread(target=load_scenario, args=(path,), name=name)
+                   for name in ("a", "b")}
+        for name in ("a", "b"):
+            threads[name].start()
+            assert entered[name].wait(10)
+        assert not gc.isenabled()
+        release["a"].set()
+        threads["a"].join(10)
+        assert not threads["a"].is_alive()
+        assert not gc.isenabled()
+        release["b"].set()
+        threads["b"].join(10)
+        assert not threads["b"].is_alive()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("collector_on", [True, False])
+    def test_many_threads_leave_the_setting(self, table1, tmp_path, collector_setting, collector_on):
+        path = tmp_path / "s.json"
+        save_scenario(table1, path)
+        loaded = []
+        interval = sys.getswitchinterval()
+        (gc.enable if collector_on else gc.disable)()
+        try:
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=lambda: loaded.extend(load_scenario(path) for _ in range(20)))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(loaded) == 160 and all(s.eta == table1.eta for s in loaded)
+        assert gc.isenabled() == collector_on
+
+
 class TestDigraphConstruction:
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -568,6 +678,11 @@ class TestDigraphConstruction:
         # negative indices would silently wrap when building weight matrices
         with pytest.raises(ValueError, match="out of range"):
             Digraph(n=2, edges=[(0, 0), (-1, 1)], node_kind=["generator", "consumer"])
+
+    @pytest.mark.parametrize("edge", [(1, -1), (2, 0), (0, 2)])
+    def test_either_endpoint_out_of_range_rejected(self, edge):
+        with pytest.raises(ValueError, match=rf"edge \({edge[0]}, {edge[1]}\) out of range for 2 nodes"):
+            Digraph(n=2, edges=[(0, 0), edge], node_kind=["generator", "consumer"])
 
     @pytest.mark.parametrize("edges", [
         [(0, 0), (1, 1), (0, 1, 1)],
@@ -679,3 +794,222 @@ class TestNumberRule:
         got = brute_force_reference(table1, np.float32(0.5))
         assert type(got.grid_step) is float
         assert (got.P.tobytes(), got.objective) == (want.P.tobytes(), want.objective)
+
+
+# ---------------------------------------------------------------------------
+# validate_scenario against a reference copy of its earlier, unoptimized form
+
+
+def _reference_finite(x) -> bool:
+    try:
+        return is_real(x) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _reference_adjacency(graph) -> np.ndarray:
+    adj = np.zeros((graph.n, graph.n), dtype=bool)
+    u, v = np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    adj[v, u] = True
+    return adj
+
+
+def _reference_validate(s: Scenario) -> list:
+    """validate_scenario as it was before its dense passes were cut: every
+    rule walks its whole input, with no fast path."""
+    out = []
+
+    def add(node, rule, message):
+        out.append(Violation(node=node, rule=rule, message=message))
+
+    kinds = s.graph.node_kind
+    n_gen_nodes = sum(1 for k in kinds if k is NodeKind.GENERATOR)
+    n_con_nodes = len(kinds) - n_gen_nodes
+    if len(kinds) != s.graph.n:
+        add(-1, "graph.kinds_length", f"node_kind has {len(kinds)} entries for {s.graph.n} nodes")
+    if s.graph.n != len(s.generators) + len(s.consumers):
+        add(-1, "scenario.node_count",
+            f"graph has {s.graph.n} nodes but {len(s.generators)} generators + "
+            f"{len(s.consumers)} consumers")
+    if n_gen_nodes != len(s.generators) or n_con_nodes != len(s.consumers):
+        add(-1, "scenario.kind_counts",
+            f"kinds declare {n_gen_nodes} generator / {n_con_nodes} consumer nodes, "
+            f"params give {len(s.generators)} / {len(s.consumers)}")
+
+    if len(kinds) == s.graph.n:
+        for i in s.graph.missing_self_loops():
+            add(i, "graph.self_loop", f"node {i} has no self-loop")
+        if not s.graph.is_strongly_connected():
+            add(-1, "graph.strongly_connected", "graph is not strongly connected")
+
+    gen_nodes = tuple(i for i, k in enumerate(kinds) if k is NodeKind.GENERATOR)
+    for j, g in enumerate(s.generators):
+        node = gen_nodes[j] if j < len(gen_nodes) else -1
+        if not all(_reference_finite(x) for x in (g.a, g.b, g.c, g.B, g.p_min, g.p_max)):
+            add(node, "gen.finite", f"generator {j} has non-finite or non-numeric parameters")
+            continue
+        before = len(out)
+        if g.a <= 0:
+            add(node, "gen.a_positive", f"generator {j}: a = {g.a} must be > 0")
+        if g.B <= 0:
+            add(node, "gen.B_positive", f"generator {j}: B = {g.B} must be > 0")
+        if not (0 < g.p_min <= g.p_max):
+            add(node, "gen.box", f"generator {j}: need 0 < p_min <= p_max, got [{g.p_min}, {g.p_max}]")
+        if 2 * g.B * g.p_max >= 1:
+            add(node, "gen.net_monotone", f"generator {j}: 2B*p_max = {2 * g.B * g.p_max} >= 1")
+        if len(out) == before and not all(
+            _reference_finite(g.loss_adjusted_marginal_cost(P)) for P in (g.p_min, g.p_max)
+        ):
+            add(node, "gen.price_finite",
+                f"generator {j}: loss-adjusted marginal cost is not finite at p_min or p_max")
+
+    con_nodes = tuple(i for i, k in enumerate(kinds) if k is NodeKind.CONSUMER)
+    for j, c in enumerate(s.consumers):
+        node = con_nodes[j] if j < len(con_nodes) else -1
+        if not all(_reference_finite(x) for x in (c.w, c.alpha, c.p_min, c.p_max)):
+            add(node, "con.finite", f"consumer {j} has non-finite or non-numeric parameters")
+            continue
+        if c.w <= 0:
+            add(node, "con.w_positive", f"consumer {j}: w = {c.w} must be > 0")
+        if c.alpha <= 0:
+            add(node, "con.alpha_positive", f"consumer {j}: alpha = {c.alpha} must be > 0")
+        if not (0 < c.p_min <= c.p_max):
+            add(node, "con.box", f"consumer {j}: need 0 < p_min <= p_max, got [{c.p_min}, {c.p_max}]")
+
+    W, Q = s.weights.W, s.weights.Q
+    n = s.graph.n
+    if W.shape != (n, n) or Q.shape != (n, n):
+        add(-1, "weights.shape", f"W {W.shape} / Q {Q.shape} do not match node count {n}")
+    else:
+        if np.any(W < 0):
+            add(-1, "weights.W_nonnegative", "W has negative entries")
+        if np.any(Q < 0):
+            add(-1, "weights.Q_nonnegative", "Q has negative entries")
+        row_err = np.abs(W.sum(axis=1) - 1.0)
+        for i in np.nonzero(row_err > STOCHASTIC_TOL)[0]:
+            add(int(i), "weights.W_row_stochastic",
+                f"row {i} of W sums to {W[i].sum()!r}, off by {row_err[i]:.3e}")
+        col_err = np.abs(Q.sum(axis=0) - 1.0)
+        for j in np.nonzero(col_err > STOCHASTIC_TOL)[0]:
+            add(int(j), "weights.Q_col_stochastic",
+                f"column {j} of Q sums to {Q[:, j].sum()!r}, off by {col_err[j]:.3e}")
+        no_edge = ~(_reference_adjacency(s.graph) | np.eye(n, dtype=bool))
+        for name, M in (("W", W), ("Q", Q)):
+            if not np.all(np.isfinite(M)):
+                add(-1, "weights.finite", f"{name} has non-finite entries")
+            for i, j in zip(*np.nonzero((M > 0) & no_edge)):
+                add(int(i), f"weights.{name}_sparsity",
+                    f"{name}[{i}][{j}] > 0 without edge {j}->{i}")
+
+    if not (_reference_finite(s.eta) and 0 < s.eta < 1):
+        add(-1, "scenario.eta", f"eta = {reprlib.repr(s.eta)} must satisfy 0 < eta < 1")
+    if not (_reference_finite(s.eps_m) and s.eps_m > 0):
+        add(-1, "scenario.eps_m", f"eps_m = {reprlib.repr(s.eps_m)} must be > 0")
+    if not (_reference_finite(s.eps_l) and s.eps_l > 0):
+        add(-1, "scenario.eps_l", f"eps_l = {reprlib.repr(s.eps_l)} must be > 0")
+    if not (is_integer(s.max_iters) and s.max_iters >= 1):
+        add(-1, "scenario.max_iters",
+            f"max_iters = {reprlib.repr(s.max_iters)} must be an integer >= 1")
+
+    return sorted(out)
+
+
+# what a parameter or constant may be replaced with: non-finite, non-numeric
+# or out-of-range values, numpy's included, and an int past float range
+_BAD_VALUES = st.sampled_from([
+    math.nan, math.inf, -math.inf, True, False, "0.5", None, 0.0, -1.0, -0.25, 2.5, 0, 1,
+    10**400, np.float64(math.nan), np.float32(math.inf), np.int64(-3), 1e308, 1e306,
+])
+# what a weight entry may be set to: off-stochastic by more and by less than
+# the tolerance, negative, non-finite, and large enough that a row or column
+# sum overflows while every entry is finite
+_BAD_WEIGHTS = st.sampled_from([
+    "+1e-6", "+1e-14", -0.1, -0.0, 0.0, 0.5, math.nan, math.inf, -math.inf, 1e308,
+])
+_GEN_FIELDS = ("a", "b", "c", "B", "p_min", "p_max")
+_CON_FIELDS = ("w", "alpha", "p_min", "p_max")
+_CONSTANTS = ("eta", "eps_m", "eps_l", "max_iters")
+
+
+@st.composite
+def _broken_scenarios(draw):
+    n_gen, n_con = draw(st.integers(2, 20)), draw(st.integers(2, 20))
+    n = n_gen + n_con
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gens = []
+    for _ in range(n_gen):
+        p_min = rng.uniform(20.0, 70.0)
+        gens.append(GeneratorParams(a=rng.uniform(0.0015, 0.008), b=rng.uniform(3.5, 7.0),
+                                    c=rng.uniform(10.0, 50.0), B=rng.uniform(0.00012, 0.0004),
+                                    p_min=p_min, p_max=p_min + rng.uniform(120.0, 350.0)))
+    cons = []
+    for _ in range(n_con):
+        p_min = rng.uniform(40.0, 110.0)
+        cons.append(ConsumerParams(w=rng.uniform(11.0, 20.0), alpha=rng.uniform(0.045, 0.11),
+                                   p_min=p_min, p_max=p_min + rng.uniform(30.0, 90.0)))
+    graph = ring_digraph(n_gen, n_con)
+    weights = build_uniform_weights(graph)
+    W, Q = weights.W.copy(), weights.Q.copy()
+    constants = {"eta": 0.002, "eps_m": 1e-8, "eps_l": 1e-8, "max_iters": 1000}
+    for _ in range(draw(st.integers(0, 8))):
+        where = draw(st.sampled_from(["generator", "consumer", "constant", "W", "Q"]))
+        if where == "generator":
+            j = draw(st.integers(0, n_gen - 1))
+            gens[j] = dataclasses.replace(gens[j], **{draw(st.sampled_from(_GEN_FIELDS)): draw(_BAD_VALUES)})
+        elif where == "consumer":
+            j = draw(st.integers(0, n_con - 1))
+            cons[j] = dataclasses.replace(cons[j], **{draw(st.sampled_from(_CON_FIELDS)): draw(_BAD_VALUES)})
+        elif where == "constant":
+            constants[draw(st.sampled_from(_CONSTANTS))] = draw(_BAD_VALUES)
+        else:
+            M = W if where == "W" else Q
+            # any entry: on the ring's support, on the diagonal or off it
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            value = draw(_BAD_WEIGHTS)
+            M[i, j] = M[i, j] + float(value) if isinstance(value, str) else value
+    cut = draw(st.sampled_from(["none", "edge", "node"]))
+    if cut != "none":
+        # a dropped edge leaves its weights off the support and may be a
+        # self-loop; a node whose in-edges all go but its self-loop is
+        # unreachable
+        edges = list(graph.edges)
+        if cut == "edge":
+            del edges[draw(st.integers(0, len(edges) - 1))]
+        else:
+            k = draw(st.integers(0, n - 1))
+            edges = [(u, v) for u, v in edges if v != k or u == k]
+        graph = Digraph(n=n, edges=edges, node_kind=graph.node_kind)
+    if draw(st.booleans()):
+        # kinds and parameters that disagree in count
+        cons = cons[:draw(st.integers(0, n_con - 1))]
+    return Scenario(generators=tuple(gens), consumers=tuple(cons), graph=graph,
+                    weights=WeightMatrices(W=W, Q=Q), **constants)
+
+
+class TestViolationsMatchTheReference:
+    """validate_scenario reports the reference's violations in its order and
+    with its messages, which Violation's own equality would not compare."""
+
+    @staticmethod
+    def _both(s):
+        # both forms sum the weights, and a sum may overflow or meet inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = validate_scenario(s), _reference_validate(s)
+        return ([(v.node, v.rule, v.message) for v in got],
+                [(v.node, v.rule, v.message) for v in want])
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(s=_broken_scenarios())
+    def test_generated_scenarios(self, s):
+        got, want = self._both(s)
+        assert got == want
+
+    def test_overflowing_sum_of_finite_weights(self, table1):
+        # finite entries whose row and column sums overflow: weights.finite
+        # must not be reported however the sums read
+        W = table1.weights.W.copy()
+        W[0, 0] = W[0, 1] = 1e308
+        s = dataclasses.replace(table1, weights=WeightMatrices(W=W, Q=W.T.copy()))
+        got, want = self._both(s)
+        assert got == want
+        assert "weights.finite" not in {rule for _, rule, _ in got}
