@@ -17,7 +17,6 @@ import numbers
 import re
 import reprlib
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
@@ -35,15 +34,14 @@ class NodeKind(str, Enum):
     CONSUMER = "consumer"
 
 
-_NODE_KINDS = {kind.value: kind for kind in NodeKind}
+_NODE_KIND_VALUES = frozenset(kind.value for kind in NodeKind)
 
 
 def _node_kind(k) -> NodeKind:
     """NodeKind(k), whose own error message would print k in full."""
-    kind = _NODE_KINDS.get(k) if isinstance(k, str) else None
-    if kind is None:
+    if not (isinstance(k, str) and k in _NODE_KIND_VALUES):
         raise ValueError(f"{reprlib.repr(k)} is not a valid NodeKind")
-    return kind
+    return NodeKind(k)
 
 
 @dataclass(frozen=True)
@@ -153,34 +151,33 @@ class Digraph:
         if self.n < 1:
             raise ValueError("graph needs at least one node")
         given = tuple(self.edges)
-        n = self.n
-        # one pass keeps the edges that are pairs of ints in range; only a
-        # graph with any other edge is walked again, to name its first
-        # offender or to take numpy ints as Python ints
+        # one pass over the set of endpoint types and their range; only a
+        # graph that fails it is walked edge by edge, to name its first offender
         try:
-            edges = tuple([(u, v) for u, v in given
-                           if type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n])
+            edges = tuple([(u, v) for u, v in given])
+            ends = list(chain.from_iterable(edges))
+            clean = (all(map(_integer_type, set(map(type, ends))))
+                     and min(ends, default=0) >= 0 and max(ends, default=0) < self.n)
         except (TypeError, ValueError):
-            edges = ()
-        if len(edges) != len(given):
+            clean = False
+        if not clean:
             for u, v in given:
                 # int() would load 1.7 and true as 1
                 if not (is_integer(u) and is_integer(v)):
                     raise ValueError(f"edge ({reprlib.repr(u)}, {reprlib.repr(v)}) "
                                      "has a non-integer endpoint")
             for u, v in given:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
-            edges = tuple([(int(u), int(v)) for u, v in given])
-        object.__setattr__(self, "edges", edges)
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for {self.n} nodes")
+        # numpy ints as Python ints
+        object.__setattr__(self, "edges", tuple([(int(u), int(v)) for u, v in edges]))
         object.__setattr__(self, "node_kind", tuple(map(_node_kind, self.node_kind)))
 
     def adjacency(self) -> np.ndarray:
         """The n x n boolean matrix with [v, u] set for each edge (u, v): the
         entries a weight matrix may fill, since its [i][j] carries j -> i."""
         adj = np.zeros((self.n, self.n), dtype=bool)
-        ends = np.fromiter(chain.from_iterable(self.edges), dtype=np.intp, count=2 * len(self.edges))
-        u, v = ends.reshape(-1, 2).T
+        u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
         adj[v, u] = True
         return adj
 
@@ -363,8 +360,6 @@ def build_uniform_weights(g: Digraph) -> WeightMatrices:
 
 def _finite(x) -> bool:
     """A number (`is_real`) that is finite as a float."""
-    if type(x) is float:
-        return math.isfinite(x)
     try:
         return is_real(x) and math.isfinite(x)
     except OverflowError:  # an int past float range
@@ -383,8 +378,8 @@ def validate_scenario(s: Scenario) -> list:
         out.append(Violation(node=node, rule=rule, message=message))
 
     kinds = s.graph.node_kind
-    gen_nodes, con_nodes = s.generator_nodes, s.consumer_nodes
-    n_gen_nodes, n_con_nodes = len(gen_nodes), len(con_nodes)
+    n_gen_nodes = sum(1 for k in kinds if k is NodeKind.GENERATOR)
+    n_con_nodes = len(kinds) - n_gen_nodes
     if len(kinds) != s.graph.n:
         add(-1, "graph.kinds_length", f"node_kind has {len(kinds)} entries for {s.graph.n} nodes")
     if s.graph.n != len(s.generators) + len(s.consumers):
@@ -404,9 +399,10 @@ def validate_scenario(s: Scenario) -> list:
         if not s.graph.is_strongly_connected():
             add(-1, "graph.strongly_connected", "graph is not strongly connected")
 
+    gen_nodes = s.generator_nodes
     for j, g in enumerate(s.generators):
-        node = gen_nodes[j] if j < n_gen_nodes else -1
-        if not all(map(_finite, (g.a, g.b, g.c, g.B, g.p_min, g.p_max))):
+        node = gen_nodes[j] if j < len(gen_nodes) else -1
+        if not all(_finite(x) for x in (g.a, g.b, g.c, g.B, g.p_min, g.p_max)):
             add(node, "gen.finite", f"generator {j} has non-finite or non-numeric parameters")
             continue
         before = len(out)
@@ -426,9 +422,10 @@ def validate_scenario(s: Scenario) -> list:
             add(node, "gen.price_finite",
                 f"generator {j}: loss-adjusted marginal cost is not finite at p_min or p_max")
 
+    con_nodes = s.consumer_nodes
     for j, c in enumerate(s.consumers):
-        node = con_nodes[j] if j < n_con_nodes else -1
-        if not all(map(_finite, (c.w, c.alpha, c.p_min, c.p_max))):
+        node = con_nodes[j] if j < len(con_nodes) else -1
+        if not all(_finite(x) for x in (c.w, c.alpha, c.p_min, c.p_max)):
             add(node, "con.finite", f"consumer {j} has non-finite or non-numeric parameters")
             continue
         if c.w <= 0:
@@ -623,32 +620,10 @@ def read_json(path):
         raise ValueError("JSON nesting too deep to read") from None
 
 
-# gc.disable() is process-wide, so overlapping loads in several threads share
-# one pause: the first to enter records the caller's setting, the last to
-# leave restores it
-_pause_lock = threading.Lock()
-_pauses = 0
-_resume = False
-
-
-@contextmanager
-def _collector_paused():
-    """The cyclic garbage collector off inside, restored to the setting it had
-    when no pause was open, on every exit; a collector the host turned off
-    stays off."""
-    global _pauses, _resume
-    with _pause_lock:
-        if _pauses == 0:
-            _resume = gc.isenabled()
-            gc.disable()
-        _pauses += 1
-    try:
-        yield
-    finally:
-        with _pause_lock:
-            _pauses -= 1
-            if _pauses == 0 and _resume:
-                gc.enable()
+# gc.disable() acts on the whole process. The lock makes a load's read of the
+# setting and its pause one step, and its resume another, so no load in
+# another thread can turn the collector on between a read and a pause
+_collector_lock = threading.Lock()
 
 
 def load_scenario(path) -> Scenario:
@@ -656,5 +631,12 @@ def load_scenario(path) -> Scenario:
     # cycle, so pausing the collector defers nothing it could free. Unpaused,
     # its young-generation passes fire while the W and Q rows are built and
     # walk every entry of each young row
-    with _collector_paused():
+    with _collector_lock:
+        was_on = gc.isenabled()
+        gc.disable()
+    try:
         return scenario_from_dict(read_json(path))
+    finally:
+        if was_on:
+            with _collector_lock:
+                gc.enable()

@@ -600,39 +600,6 @@ class TestCollectorPausedWhileLoading:
         load_scenario(path)
         assert seen == [False, False] and gc.isenabled()
 
-    def test_overlapping_loads_share_one_pause(self, table1, tmp_path, monkeypatch,
-                                               collector_setting):
-        # the first load in records the setting and the last one out restores
-        # it: an early restore would turn the collector on under the other load
-        path = tmp_path / "s.json"
-        save_scenario(table1, path)
-        read_json = scenario_module.read_json
-        entered = {"a": threading.Event(), "b": threading.Event()}
-        release = {"a": threading.Event(), "b": threading.Event()}
-
-        def blocking_read(p):
-            name = threading.current_thread().name
-            entered[name].set()
-            assert release[name].wait(10)
-            return read_json(p)
-
-        monkeypatch.setattr(scenario_module, "read_json", blocking_read)
-        gc.enable()
-        threads = {name: threading.Thread(target=load_scenario, args=(path,), name=name)
-                   for name in ("a", "b")}
-        for name in ("a", "b"):
-            threads[name].start()
-            assert entered[name].wait(10)
-        assert not gc.isenabled()
-        release["a"].set()
-        threads["a"].join(10)
-        assert not threads["a"].is_alive()
-        assert not gc.isenabled()
-        release["b"].set()
-        threads["b"].join(10)
-        assert not threads["b"].is_alive()
-        assert gc.isenabled()
-
     @pytest.mark.parametrize("collector_on", [True, False])
     def test_many_threads_leave_the_setting(self, table1, tmp_path, collector_setting, collector_on):
         path = tmp_path / "s.json"
