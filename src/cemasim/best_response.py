@@ -15,19 +15,21 @@ import numpy as np
 from .scenario import AgentParams, ConsumerParams, GeneratorParams
 
 
-def _require_finite(lam: float) -> None:
-    if not math.isfinite(lam):
-        raise ValueError(f"price signal must be finite, got {lam!r}")
+def _not_finite(lam) -> ValueError:
+    return ValueError(f"price signal must be finite, got {lam!r}")
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
+# The scalar forms run once per node and round, so each tests its price and
+# clips its result inline: two helper calls a node cost more than the
+# arithmetic.
 
 
 def generator_response_original(p: GeneratorParams, lam: float) -> float:
     """argmin over [p_min, p_max] of a*P^2 + b*P + c - lam*P."""
-    _require_finite(lam)
-    return _clip((lam - p.b) / (2.0 * p.a), p.p_min, p.p_max)
+    if not math.isfinite(lam):
+        raise _not_finite(lam)
+    x = (lam - p.b) / (2.0 * p.a)
+    return p.p_min if x < p.p_min else p.p_max if x > p.p_max else x
 
 
 def generator_response_corrected(p: GeneratorParams, lam: float) -> float:
@@ -38,10 +40,12 @@ def generator_response_corrected(p: GeneratorParams, lam: float) -> float:
     transient, price deeply negative) the objective is concave or linear, so
     the minimum sits at an endpoint. Ties go to p_min.
     """
-    _require_finite(lam)
+    if not math.isfinite(lam):
+        raise _not_finite(lam)
     curv = p.a + lam * p.B
     if curv > 0.0:
-        return _clip((lam - p.b) / (2.0 * curv), p.p_min, p.p_max)
+        x = (lam - p.b) / (2.0 * curv)
+        return p.p_min if x < p.p_min else p.p_max if x > p.p_max else x
     lin = p.b - lam
     lo = curv * p.p_min * p.p_min + lin * p.p_min
     hi = curv * p.p_max * p.p_max + lin * p.p_max
@@ -56,12 +60,12 @@ def consumer_response(p: ConsumerParams, lam: float) -> float:
     branch; zero price -> smallest maximizer of U (the clipped saturation
     point); negative price -> p_max.
     """
-    _require_finite(lam)
+    if not math.isfinite(lam):
+        raise _not_finite(lam)
     if lam < 0.0:
         return p.p_max
-    if lam == 0.0:
-        return _clip(p.saturation, p.p_min, p.p_max)
-    return _clip((p.w - lam) / (2.0 * p.alpha), p.p_min, p.p_max)
+    x = p.saturation if lam == 0.0 else (p.w - lam) / (2.0 * p.alpha)
+    return p.p_min if x < p.p_min else p.p_max if x > p.p_max else x
 
 
 def _require_price(lam) -> None:
@@ -74,7 +78,8 @@ def _require_price(lam) -> None:
 
 
 def _clip_array(x, lo, hi) -> np.ndarray:
-    # _clip's result wherever lo <= hi; two ufunc calls cost less than np.clip
+    # the scalar forms' clip wherever lo <= hi; two ufunc calls cost less
+    # than np.clip
     return np.minimum(np.maximum(x, lo), hi)
 
 

@@ -89,21 +89,26 @@ def mismatch(P: np.ndarray, scenario: Scenario) -> float:
 
 def lambda_step(lam: np.ndarray, xi: np.ndarray, W: np.ndarray, eta: float) -> np.ndarray:
     """Price update: row-stochastic mixing plus the surplus feedback term."""
-    return W @ lam + eta * xi
+    # ndarray.dot reaches the same dgemv as `@` with less dispatch per call
+    return W.dot(lam) + eta * xi
 
 
-def power_step(scenario: Scenario, generator_response, new_lambdas: np.ndarray) -> np.ndarray:
+def power_step(scenario: Scenario, generator_response, new_lambdas) -> np.ndarray:
     """Node-order best responses, node i to its mixed price new_lambdas[i].
 
-    Scalar closed forms on purpose: at a handful of nodes numpy's per-call
-    overhead costs more than the arithmetic it would vectorize.
+    new_lambdas is a float array or the list of its floats, which `run`
+    already holds. Scalar closed forms on purpose: at a handful of nodes
+    numpy's per-call overhead costs more than the arithmetic it would
+    vectorize.
     """
+    if isinstance(new_lambdas, np.ndarray):
+        new_lambdas = new_lambdas.tolist()
     # read off the module per call, so a consumer_response rebound there
     # (bench/spans.py counts calls that way) is the one called
     consumer_response = best_response.consumer_response
     return np.array([
         generator_response(p, x) if isinstance(p, GeneratorParams) else consumer_response(p, x)
-        for p, x in zip(scenario.agents.params, new_lambdas.tolist(), strict=True)
+        for p, x in zip(scenario.agents.params, new_lambdas, strict=True)
     ])
 
 
@@ -142,7 +147,6 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
     snet = sign * agents.net(P)
     xi = np.zeros(n)
     mism = 0.0
-    spread = float(amax(lam) - amin(lam))
     max_abs_xi = 0.0
 
     terminated = None
@@ -152,8 +156,11 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
         # the one emit site: round k's state is bound here on every path.
         # Every round binds fresh arrays and none is mutated afterwards, so a
         # record can hold them without copying. With no sink only the final
-        # round gets a record
+        # round gets a record, so the spread of its own prices is taken here
+        # rather than once a round; Python floats, because inf - inf is a
+        # quiet NaN there and a warning in numpy
         if terminated or sink is not None and k % trace_stride == 0:
+            spread = float(amax(lam)) - float(amin(lam))
             final = IterationRecord(k, lam, P, xi, mism, spread, max_abs_xi)
             if sink is not None:
                 sink(final)
@@ -162,19 +169,20 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
         k += 1
 
         lam_new = lambda_step(lam, xi, W, eta)
-        # one max/min pair is both the finiteness test and the spread: NaN
-        # propagates through both, and +-inf shows in one of them
-        hi, lo = float(amax(lam_new)), float(amin(lam_new))
-        spread = hi - lo
-        if not (-math.inf < lo and hi < math.inf):
+        prices = lam_new.tolist()
+        # a finite sum means every price is finite (NaN and +-inf propagate
+        # through it); finite prices can still overflow the sum, so only then
+        # does the max/min pair decide
+        if not -math.inf < sum(prices) < math.inf and not (
+                -math.inf < amin(lam_new) and amax(lam_new) < math.inf):
             # the best responses reject a non-finite price: the round stops
             # here, its record holds the new prices and the state they mixed
             lam = lam_new
             terminated = TERMINATED_DIVERGED
             continue
-        P_new = power_step(scenario, generator_response, lam_new)
+        P_new = power_step(scenario, generator_response, prices)
         snet_new = sign * agents.net(P_new)
-        xi_new = Q @ xi + (snet_new - snet)
+        xi_new = Q.dot(xi) + (snet_new - snet)
 
         mism = float(total(snet_new))
         gap = abs(float(total(xi_new)) - mism)

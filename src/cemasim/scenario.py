@@ -444,15 +444,18 @@ def validate_scenario(s: Scenario) -> list:
             add(-1, "weights.W_nonnegative", "W has negative entries")
         if np.any(Q < 0):
             add(-1, "weights.Q_nonnegative", "Q has negative entries")
-        W_sums, Q_sums = W.sum(axis=1), Q.sum(axis=0)
-        row_err = np.abs(W_sums - 1.0)
-        for i in np.nonzero(row_err > STOCHASTIC_TOL)[0]:
-            add(int(i), "weights.W_row_stochastic",
-                f"row {i} of W sums to {W[i].sum()!r}, off by {row_err[i]:.3e}")
-        col_err = np.abs(Q_sums - 1.0)
-        for j in np.nonzero(col_err > STOCHASTIC_TOL)[0]:
-            add(int(j), "weights.Q_col_stochastic",
-                f"column {j} of Q sums to {Q[:, j].sum()!r}, off by {col_err[j]:.3e}")
+        # finite entries may overflow a sum to inf and +-inf ones cancel to
+        # NaN; the weights rules report both, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            W_sums, Q_sums = W.sum(axis=1), Q.sum(axis=0)
+            row_err = np.abs(W_sums - 1.0)
+            for i in np.nonzero(row_err > STOCHASTIC_TOL)[0]:
+                add(int(i), "weights.W_row_stochastic",
+                    f"row {i} of W sums to {W[i].sum()!r}, off by {row_err[i]:.3e}")
+            col_err = np.abs(Q_sums - 1.0)
+            for j in np.nonzero(col_err > STOCHASTIC_TOL)[0]:
+                add(int(j), "weights.Q_col_stochastic",
+                    f"column {j} of Q sums to {Q[:, j].sum()!r}, off by {col_err[j]:.3e}")
         # entry [i][j] needs edge (j, i) or i == j. The n x n masks are built
         # in place and searched entry by entry only once any() finds a hit
         no_edge = s.graph.adjacency()

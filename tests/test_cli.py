@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,23 @@ class TestSolveCommand:
         assert err.startswith(f"cannot read scenario {str(path)!r}: graph node count ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("entries", [[1e308, 1e308], [math.inf, -math.inf]],
+                             ids=["finite-overflow", "inf-minus-inf"])
+    def test_weight_sums_out_of_range_print_only_the_violations(self, tmp_path, capsys,
+                                                                entries):
+        # row 0 of W sums to inf from finite entries, or to NaN from +-inf
+        # ones: stderr holds the violations and no numpy warning
+        path = tmp_path / "bad.json"
+        d = scenario_to_dict(table1_scenario())
+        d["weights"]["W"][0][:2] = entries
+        path.write_text(json.dumps(d))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--scenario", str(path)]) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert err and all(line.startswith("invalid scenario: node=") for line in err)
 
     def test_tol_option_removed(self, table1_file, capsys):
         # solve certifies at a fixed 1e-6, so a bisection tolerance set from
