@@ -31,7 +31,7 @@ CERTIFY_TOL = 1e-6  # largest KKT residual that certifies a candidate
 ACTIVE_BOUND_TOL = 1e-7
 MAX_BRACKET_DOUBLINGS = 60
 MAX_BISECT_ITERS = 200
-GRID_CHUNK_POINTS = 2**16  # most brute-force grid points evaluated at once
+GRID_CHUNK_POINTS = 2**14  # most brute-force grid points evaluated at once
 GRID_POINT_BUDGET = 10**8  # most brute-force grid points searched in one call
 
 
@@ -377,17 +377,49 @@ def _grid_values(g: GeneratorParams, step: float, i: np.ndarray) -> tuple:
     return g.net(x), g.cost(x)
 
 
-def _chunk_sum(lead: list, last: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One quantity (net or cost) at one chunk's points: its values on the
-    leading axes at the chunk's rows, summed in generator order, plus its
-    values on the last axis at the chunk's columns, written to `out` (with
-    no leading axis, a view of `last` instead)."""
-    if not lead:
-        return last[None, :]
-    total = lead[0]
-    for values in lead[1:]:
-        total = total + values
-    return np.add(total[:, None], last, out=out)
+def _nondecreasing_from(values, n: int) -> int:
+    """The least index h from which an axis's net and cost are both
+    non-decreasing, found on the values themselves, GRID_CHUNK_POINTS at a
+    time: a negative b makes the cost fall at first."""
+    h = 0
+    for c0 in range(1, n, GRID_CHUNK_POINTS):
+        net, cost = values(np.arange(c0 - 1, min(c0 + GRID_CHUNK_POINTS, n)))
+        down = np.flatnonzero((net[1:] < net[:-1]) | (cost[1:] < cost[:-1]))
+        if down.size:
+            h = c0 + int(down[-1])
+    return h
+
+
+def _first_at_least(lead, values, start: np.ndarray, n: int, t: float) -> np.ndarray:
+    """Per row, the first column j >= start of the last axis whose supply,
+    the row's leading sum (None: no leading axis) plus the axis's net at j,
+    is >= t, or n when none is. A binary search on the supply the grid
+    forms, exact because that sum is non-decreasing in j from start on."""
+    below = start - 1  # the last column known to be < t, or start - 1
+    step = 1 << int((n - start).max()).bit_length() >> 1
+    while step:
+        j = below + step
+        net = values(np.minimum(j, n - 1))[0]
+        S = net if lead is None else lead + net
+        below = np.where((j < n) & (S < t), j, below)
+        step >>= 1
+    return below + 1
+
+
+def _windows(starts: np.ndarray, ends: np.ndarray, size: int):
+    """(window, column) index arrays of at most `size` points that walk the
+    columns [starts[w], ends[w]) of every window w in turn."""
+    lengths = ends - starts
+    stops = np.cumsum(lengths)
+    total = int(stops[-1])
+    for p0 in range(0, total, size):
+        p1 = min(p0 + size, total)
+        w0 = int(np.searchsorted(stops, p0, side="right"))
+        w1 = int(np.searchsorted(stops, p1 - 1, side="right")) + 1
+        firsts = stops[w0:w1] - lengths[w0:w1]  # each window's first point in the walk
+        take = np.minimum(stops[w0:w1], p1) - np.maximum(firsts, p0)
+        yield (np.repeat(np.arange(w0, w1), take),
+               np.arange(p0, p1) + np.repeat(starts[w0:w1] - firsts, take))
 
 
 def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceResult:
@@ -395,11 +427,19 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
 
     Feasibility keeps net supply >= the consumer demand floor (the relaxed
     balance as an inequality). Returns the best feasible grid point, ties
-    resolved to the lexicographically smallest one. Time grows with the
-    product of the generator grids, so at most 3 generators and
-    GRID_POINT_BUDGET points are accepted, checked before any allocation;
-    memory does not: at most GRID_CHUNK_POINTS points are evaluated at once,
-    and no axis is built whole.
+    resolved to the lexicographically smallest one. At most 3 generators and
+    GRID_POINT_BUDGET points are accepted, checked before any allocation.
+
+    The grid is a matrix of the flattened leading axes by the last axis,
+    whose net and cost are non-decreasing from some column h on. Adding a
+    row's fixed leading sum rounds monotonically, so along each row's tail
+    [h, n) the supply and, at or above saturated demand, the objective are
+    non-decreasing too. A binary search finds each row's first feasible and
+    first saturated tail columns; every point of the head [0, h) and of the
+    tail between the two is evaluated, and of the saturated tail only its
+    first point, which no later point beats or ties at a smaller index. At
+    most GRID_CHUNK_POINTS points and rows are handled at once, and no
+    axis is built whole, so memory does not grow with the grid.
     """
     if not (1 <= len(scenario.generators) <= 3):
         raise ValueError("brute force supports 1 to 3 generators")
@@ -416,55 +456,67 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
 
     (_, gen_arrays), (_, cons) = scenario.agents.by_kind
     mu_knots, demand_knots = _demand_curve(scenario)
-    demand_floor = _ordered_sum(cons.p_min)
+    feasible_at = _ordered_sum(cons.p_min) - 1e-12
+    # saturated and feasible; at or above saturated demand the price is 0,
+    # so every such point has one consumer value
+    saturated_at = max(feasible_at, demand_knots[0])
 
-    # a chunk is a contiguous range of C-order flat grid indices: a block of
-    # rows of the flattened leading axes times the whole last axis, or, when
-    # the last axis alone is over the budget, one row times a block of columns
-    n_lead = math.prod(shape[:-1])
-    n_last = shape[-1]
-    rows = max(1, GRID_CHUNK_POINTS // n_last)
-    cols = min(n_last, GRID_CHUNK_POINTS)
+    n_lead, n_last = math.prod(shape[:-1]), shape[-1]
     # each axis's (net, cost) is tabulated once when the axis fits a chunk,
-    # and evaluated per chunk at the chunk's indices when it does not
+    # and evaluated at the indices asked for when it does not
     tables = [_grid_values(g, grid_step, np.arange(n)) if n <= GRID_CHUNK_POINTS else None
               for g, n in zip(gens, shape)]
 
-    # at or above saturated demand d0 the price is 0, so every such point has
-    # one consumer value; evaluating it on [d0] gives the same bits
-    d0 = demand_knots[0]
-    v_sat = _consumer_allocation_value(scenario, np.array([d0]), mu_knots, demand_knots)[0]
-    # the chunk arrays are allocated once per call and filled in place, so
-    # the time does not depend on how the allocator reuses freed chunks; a
-    # short chunk uses the leading part of each
-    size = min(rows, n_lead) * cols
-    buffers = [np.empty(size), np.empty(size), np.empty(size),
-               np.empty(size, dtype=bool), np.empty(size, dtype=bool)]
+    def values(k, i):
+        return (tables[k][0][i], tables[k][1][i]) if tables[k] else _grid_values(gens[k], grid_step, i)
+
+    def last(i):
+        return values(-1, i)
+
+    h = _nondecreasing_from(last, n_last)
+    # the objective of one piece, and with leading axes its supply and cost,
+    # are written with out= into buffers allocated once per call, so the time
+    # does not depend on how the allocator reuses freed pieces; a short piece
+    # uses their leading part
+    size = min(GRID_CHUNK_POINTS, n_lead * n_last)
+    S_buf, base_buf, obj_buf = np.empty(size), np.empty(size), np.empty(size)
     best_val = np.inf
     best_flat = None
-    for r0 in range(0, n_lead, rows):
-        # one generator: one row and no leading axis
-        lead_idx = np.unravel_index(np.arange(r0, min(r0 + rows, n_lead)), shape[:-1] or [1])
-        lead = [(t[0][i], t[1][i]) if t else _grid_values(g, grid_step, i)
-                for g, t, i in zip(gens[:-1], tables, lead_idx)]
-        for c0 in range(0, n_last, cols):
-            # a tabulated last axis fits a chunk, so it spans the chunk's columns
-            last = tables[-1] or _grid_values(gens[-1], grid_step, np.arange(c0, min(c0 + cols, n_last)))
-            chunk = (lead_idx[0].size, last[0].size)
-            S, base, obj, feasible, low = (b[:chunk[0] * chunk[1]].reshape(chunk) for b in buffers)
-            S = _chunk_sum([net for net, _ in lead], last[0], out=S)
-            base = _chunk_sum([cost for _, cost in lead], last[1], out=base)
-            np.greater_equal(S, demand_floor - 1e-12, out=feasible)
-            np.subtract(base, v_sat, out=obj)
-            np.less(S, d0, out=low)
-            low &= feasible
-            obj[low] = base[low] - _consumer_allocation_value(scenario, S[low], mu_knots, demand_knots)
-            obj[np.logical_not(feasible, out=feasible)] = np.inf
-            flat = int(np.argmin(obj))
-            val = float(obj.flat[flat])
-            if val < best_val:
-                best_val = val
-                best_flat = r0 * n_last + c0 + flat  # the chunk starts at this flat index
+    for r0 in range(0, n_lead, GRID_CHUNK_POINTS):
+        rows = np.arange(r0, min(r0 + GRID_CHUNK_POINTS, n_lead))
+        lead_net = lead_cost = None  # one generator: no leading axis
+        if len(gens) > 1:
+            # the leading values summed in generator order, the last axis
+            # added last: the additions the whole-grid sum makes
+            lead = [values(k, i) for k, i in enumerate(np.unravel_index(rows, shape[:-1]))]
+            lead_net, lead_cost = lead[0]
+            for net, cost in lead[1:]:
+                lead_net, lead_cost = lead_net + net, lead_cost + cost
+        first_feasible = _first_at_least(lead_net, last, np.full(rows.size, h), n_last, feasible_at)
+        first_saturated = _first_at_least(lead_net, last, first_feasible, n_last, saturated_at)
+        # two windows a row, in flat order: its head [0, h), then its tail
+        # from the first feasible point through the first saturated one
+        starts = np.stack([np.zeros_like(rows), first_feasible], axis=1).ravel()
+        ends = np.stack([np.full_like(rows, h), np.minimum(first_saturated + 1, n_last)], axis=1).ravel()
+        for window, cols in _windows(starts, ends, GRID_CHUNK_POINTS):
+            net, cost = last(cols)
+            S, base, obj = S_buf[:cols.size], base_buf[:cols.size], obj_buf[:cols.size]
+            if lead_net is None:
+                S, base = net, cost
+            else:
+                row = window // 2
+                np.add(lead_net[row], net, out=S)
+                np.add(lead_cost[row], cost, out=base)
+            # at or above saturated demand the value is the saturated one,
+            # bit for bit: the balancing price there is 0
+            np.subtract(base, _consumer_allocation_value(scenario, S, mu_knots, demand_knots), out=obj)
+            obj[S < feasible_at] = np.inf
+            k = int(np.argmin(obj))
+            # the pieces walk the grid in ascending flat order, so a strict
+            # < keeps the first of equal points
+            if obj[k] < best_val:
+                best_val = float(obj[k])
+                best_flat = (r0 + int(window[k]) // 2) * n_last + int(cols[k])
 
     if best_flat is None or not np.isfinite(best_val):
         raise InfeasibleScenarioError("no feasible grid point: demand floor exceeds net supply")

@@ -451,11 +451,11 @@ def validate_scenario(s: Scenario) -> list:
             row_err = np.abs(W_sums - 1.0)
             for i in np.nonzero(row_err > STOCHASTIC_TOL)[0]:
                 add(int(i), "weights.W_row_stochastic",
-                    f"row {i} of W sums to {W[i].sum()!r}, off by {row_err[i]:.3e}")
+                    f"row {i} of W sums to {float(W[i].sum())!r}, off by {row_err[i]:.3e}")
             col_err = np.abs(Q_sums - 1.0)
             for j in np.nonzero(col_err > STOCHASTIC_TOL)[0]:
                 add(int(j), "weights.Q_col_stochastic",
-                    f"column {j} of Q sums to {Q[:, j].sum()!r}, off by {col_err[j]:.3e}")
+                    f"column {j} of Q sums to {float(Q[:, j].sum())!r}, off by {col_err[j]:.3e}")
         # entry [i][j] needs edge (j, i) or i == j. The n x n masks are built
         # in place and searched entry by entry only once any() finds a hit
         no_edge = s.graph.adjacency()

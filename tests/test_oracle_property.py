@@ -17,19 +17,20 @@ from cemasim import (
     oracle,
 )
 from cemasim.oracle import GRID_CHUNK_POINTS, _axis_points, _consumer_allocation_value, _demand_curve
-from cemasim.presets import random_scenario
+from cemasim.presets import random_scenario, table1_scenario
 from test_oracle import _axis_grid, _scenario
 
 FULL_BLOCK_POINTS = 2**20  # grid points the reference evaluates at once
 
 
-def _full_evaluation(scenario, grid_step):
+def _full_evaluation(scenario, grid_step, matrices=None):
     """The grid search with the consumer value evaluated at every point.
 
     The grid is a matrix of the flattened leading axes by the last axis,
     evaluated a block of rows at a time with ties to the first point.
     Returns (P, objective, argmin at or above saturated demand, feasibility
-    matrix), or None when no point is feasible.
+    matrix), or None when no point is feasible. A `matrices` dict also gets
+    the "saturated" (supply >= saturated demand) and "objective" matrices.
     """
     mu_knots, demand_knots = _demand_curve(scenario)
     floor = sum(c.p_min for c in scenario.consumers)
@@ -46,6 +47,9 @@ def _full_evaluation(scenario, grid_step):
     last, n_last = gens[-1], len(grids[-1])
     n_lead = math.prod(len(grid) for grid in grids[:-1])
     feasible = np.empty((n_lead, n_last), dtype=bool)
+    if matrices is not None:
+        matrices["saturated"] = np.empty_like(feasible)
+        matrices["objective"] = np.empty(feasible.shape)
     best_val, best_flat = np.inf, None
     block = max(1, FULL_BLOCK_POINTS // n_last)
     for r0 in range(0, n_lead, block):
@@ -57,6 +61,9 @@ def _full_evaluation(scenario, grid_step):
         ok = S >= floor - 1e-12
         feasible[r0:r0 + block] = ok
         obj = np.where(ok, base - _consumer_allocation_value(scenario, S, mu_knots, demand_knots), np.inf)
+        if matrices is not None:
+            matrices["saturated"][r0:r0 + block] = S >= demand_knots[0]
+            matrices["objective"][r0:r0 + block] = obj
         flat = int(np.argmin(obj))
         if obj.flat[flat] < best_val:
             best_val, best_flat = float(obj.flat[flat]), r0 * n_last + flat
@@ -74,8 +81,11 @@ def _full_evaluation(scenario, grid_step):
 
 
 def _chunks(n_lead, n_last, budget):
-    """(rows, cols) slices of the grid matrix, one per chunk of at most
-    `budget` points: whole rows while the last axis fits, else column blocks."""
+    """(rows, cols) slices of the grid matrix, one per block of at most
+    `budget` points: whole rows while the last axis fits, else column blocks.
+    The coverage tags read them: a grid over the budget, a last axis longer
+    than it (evaluated per index, its rows split over pieces) and a block
+    with no feasible point."""
     rows, cols = max(1, budget // n_last), min(n_last, budget)
     return [(slice(r, r + rows), slice(c, c + cols))
             for r in range(0, n_lead, rows) for c in range(0, n_last, cols)]
@@ -86,29 +96,37 @@ def _grid_cases(draw):
     """A 1-3 generator scenario, a step giving at most about 25k grid points,
     and a chunk budget of 7 or 64 points or the default.
 
-    The last axis may be longer than a small budget (column blocks) or
-    shorter (blocks of rows), and the demand floor is a drawn point of the
-    net supply range, so leading chunks can be wholly infeasible; low
-    marginal costs or high generator floors put the optimum at or above
-    saturated demand.
+    The last axis may be longer than a small budget or shorter, and the
+    demand floor is a drawn point of the net supply range, so whole rows can
+    be infeasible; low marginal costs or high generator floors put the
+    optimum at or above saturated demand. A negative b makes a cost fall
+    before it rises, so the last axis can be monotone only from some h > 0
+    on; B may come within a factor 1 - 1e-9 of the 2*B*p_max < 1 limit;
+    and the last generator may repeat the one before it, whose mirrored
+    points then have the same objective bits.
     """
     n_gen = draw(st.integers(1, 3))
     step = draw(st.floats(0.05, 2.0))
     budget = draw(st.sampled_from([7, 64, GRID_CHUNK_POINTS]))
+    limits = [[600], [400, 30], [300, 8, 8]][n_gen - 1]
+    twin = n_gen > 1 and draw(st.booleans())
+    if twin:
+        limits[-2] = limits[-1]
     gens = []
     for k in range(n_gen):
-        if k == 0:
-            rows = draw(st.integers(0, [600, 400, 300][n_gen - 1]))
-        else:
-            rows = draw(st.integers(0, [30, 8][n_gen - 2]))
+        if twin and k == n_gen - 1:
+            gens.append(gens[-1])
+            continue
         p_min = draw(st.floats(0.0, 80.0))
+        p_max = p_min + draw(st.integers(0, limits[k])) * step + draw(st.floats(0.0, 1.0)) * step
+        near_limit = (1.0 - draw(st.floats(1e-9, 1e-2))) / (2.0 * p_max) if p_max > 0.0 else 0.0
         gens.append(GeneratorParams(
             a=draw(st.floats(0.001, 0.01)),
-            b=draw(st.floats(0.05, 8.0)),
+            b=draw(st.one_of(st.floats(0.05, 8.0), st.floats(-3.0, 0.0))),
             c=draw(st.floats(0.0, 30.0)),
-            B=draw(st.floats(0.0, 4e-4)),
+            B=draw(st.one_of(st.floats(0.0, 4e-4), st.just(near_limit))),
             p_min=p_min,
-            p_max=p_min + rows * step + draw(st.floats(0.0, 1.0)) * step,
+            p_max=p_max,
         ))
     s_min = sum(g.net(g.p_min) for g in gens)
     s_max = sum(g.net(g.p_max) for g in gens)
@@ -126,6 +144,13 @@ def _grid_cases(draw):
     return _scenario(gens, cons), step, budget
 
 
+def _monotone_from(g, grid):
+    """The least h from which g's net and cost on `grid` never fall."""
+    net, cost = g.net(grid), g.cost(grid)
+    down = np.flatnonzero((net[1:] < net[:-1]) | (cost[1:] < cost[:-1]))
+    return int(down[-1]) + 1 if down.size else 0
+
+
 class TestBruteForceProperty:
     def test_matches_full_evaluation(self, monkeypatch):
         seen = set()
@@ -135,7 +160,7 @@ class TestBruteForceProperty:
         def check(case):
             s, step, budget = case
             monkeypatch.setattr(oracle, "GRID_CHUNK_POINTS", budget)
-            ref = _full_evaluation(s, step)
+            ref = _full_evaluation(s, step, matrices := {})
             if ref is None:
                 with pytest.raises(InfeasibleScenarioError):
                     brute_force_reference(s, step)
@@ -144,6 +169,20 @@ class TestBruteForceProperty:
             bf = brute_force_reference(s, step)
             assert np.float64(bf.objective).tobytes() == np.float64(objective).tobytes()
             assert bf.P.tobytes() == P.tobytes()
+            last = s.generators[-1]
+            h = _monotone_from(last, _axis_grid(last.p_min, last.p_max, step))
+            if h > 0:
+                seen.add("head h > 0")
+            # each row's tail [h, n): its feasible points below and at or
+            # above saturated demand
+            tail_dense = (feasible & ~matrices["saturated"])[:, h:].any(axis=1)
+            tail_saturated = (feasible & matrices["saturated"])[:, h:].any(axis=1)
+            if (tail_saturated & ~tail_dense).any():
+                seen.add("row tail all saturated")
+            if (tail_saturated & tail_dense).any():
+                seen.add("row with dense and saturated points")
+            if np.count_nonzero(matrices["objective"] == objective) > 1:
+                seen.add("tie")
             chunks = _chunks(*feasible.shape, budget)
             seen.add(("generators", len(s.generators)))
             seen.add(("saturated", saturated))
@@ -157,7 +196,8 @@ class TestBruteForceProperty:
         check()
         assert seen >= {("generators", 1), ("generators", 2), ("generators", 3),
                         ("saturated", False), ("saturated", True),
-                        "multi-chunk", "column split", "empty chunk"}
+                        "multi-chunk", "column split", "empty chunk",
+                        "head h > 0", "row tail all saturated", "row with dense and saturated points", "tie"}
 
 
 class TestBruteForceMemory:
@@ -203,3 +243,18 @@ class TestBruteForceMemory:
         assert [x.hex() for x in bf.P.tolist()] == [
             "0x1.80e7f9cb34744p+7", "0x1.49dbb87b78e60p+6", "0x1.847061fc85a84p+6"]
         assert bf.objective.hex() == "-0x1.7382de6a60b22p+8"
+
+    def test_table1_at_step_005_stays_within_4_mb(self):
+        # 50.8 M points, of which the tail search evaluates about 2 M
+        s = table1_scenario()
+        tracemalloc.start()
+        try:
+            bf = brute_force_reference(s, 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        # the bits every point's evaluation gave
+        assert [x.hex() for x in bf.P.tolist()] == [
+            "0x1.4d66666666666p+6", "0x1.ec9999999999ap+6", "0x1.915bcc8076b30p+6", "0x1.9000000000000p+6"]
+        assert bf.objective.hex() == "-0x1.4179f89358944p+9"

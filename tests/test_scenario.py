@@ -855,11 +855,11 @@ def _reference_validate(s: Scenario) -> list:
         row_err = np.abs(W.sum(axis=1) - 1.0)
         for i in np.nonzero(row_err > STOCHASTIC_TOL)[0]:
             add(int(i), "weights.W_row_stochastic",
-                f"row {i} of W sums to {W[i].sum()!r}, off by {row_err[i]:.3e}")
+                f"row {i} of W sums to {float(W[i].sum())!r}, off by {row_err[i]:.3e}")
         col_err = np.abs(Q.sum(axis=0) - 1.0)
         for j in np.nonzero(col_err > STOCHASTIC_TOL)[0]:
             add(int(j), "weights.Q_col_stochastic",
-                f"column {j} of Q sums to {Q[:, j].sum()!r}, off by {col_err[j]:.3e}")
+                f"column {j} of Q sums to {float(Q[:, j].sum())!r}, off by {col_err[j]:.3e}")
         no_edge = ~(_reference_adjacency(s.graph) | np.eye(n, dtype=bool))
         for name, M in (("W", W), ("Q", Q)):
             if not np.all(np.isfinite(M)):
@@ -970,6 +970,26 @@ class TestViolationsMatchTheReference:
     def test_generated_scenarios(self, s):
         got, want = self._both(s)
         assert got == want
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(s=_broken_scenarios())
+    def test_weight_messages_print_plain_floats(self, s):
+        # a weight sum is a numpy scalar, whose repr reads np.float64(...)
+        # under numpy 2 and a bare number under 1.x
+        with np.errstate(over="ignore", invalid="ignore"):
+            messages = [v.message for v in validate_scenario(s) if v.rule.startswith("weights.")]
+        assert not [m for m in messages if "np." in m]
+
+    def test_off_stochastic_row_prints_its_sum(self, table1):
+        W = table1.weights.W.copy()
+        W[0, 0] += 1e-6
+        Q = table1.weights.Q.copy()
+        Q[0, 0] += 1e308
+        s = dataclasses.replace(table1, weights=WeightMatrices(W=W, Q=Q))
+        with np.errstate(over="ignore", invalid="ignore"):
+            messages = {v.rule: v.message for v in validate_scenario(s)}
+        assert messages["weights.W_row_stochastic"].startswith(f"row 0 of W sums to {float(W[0].sum())!r}, ")
+        assert messages["weights.Q_col_stochastic"].startswith("column 0 of Q sums to 1e+308, ")
 
     def test_overflowing_sum_of_finite_weights(self, table1):
         # finite entries whose row and column sums overflow: weights.finite
