@@ -99,7 +99,9 @@ def power_step(scenario: Scenario, generator_response, new_lambdas) -> np.ndarra
     new_lambdas is a float array or the list of its floats, which `run`
     already holds. Scalar closed forms on purpose: at a handful of nodes
     numpy's per-call overhead costs more than the arithmetic it would
-    vectorize.
+    vectorize. A generator is told by the type of its parameters: an
+    identity test on the graph's node kinds measured slower at 4 nodes,
+    because it zips a third iterable and reads an enum member per call.
     """
     if isinstance(new_lambdas, np.ndarray):
         new_lambdas = new_lambdas.tolist()
@@ -141,6 +143,9 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
     amax, amin, total = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
     lam = np.array([best_response.lambda_init(p) for p in agents.params])
+    # lam's floats: power_step answers them, and a kept record's spread is
+    # taken from them
+    prices = lam.tolist()
     P = np.zeros(n)
     # signed net injection: the surplus update books its change, and its sum
     # is the mismatch
@@ -157,10 +162,17 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
         # Every round binds fresh arrays and none is mutated afterwards, so a
         # record can hold them without copying. With no sink only the final
         # round gets a record, so the spread of its own prices is taken here
-        # rather than once a round; Python floats, because inf - inf is a
-        # quiet NaN there and a warning in numpy
+        # rather than once a round. Python's max and min of the price list
+        # give the ufuncs' bits on finite prices, a spread of signed zeros
+        # included. A diverged round's prices may hold NaN, which Python's
+        # max and min keep or drop by position, so the ufuncs take those,
+        # subtracted as Python floats: inf - inf is a quiet NaN there and a
+        # warning in numpy
         if terminated or sink is not None and k % trace_stride == 0:
-            spread = float(amax(lam)) - float(amin(lam))
+            if terminated == TERMINATED_DIVERGED:
+                spread = float(amax(lam)) - float(amin(lam))
+            else:
+                spread = max(prices) - min(prices)
             final = IterationRecord(k, lam, P, xi, mism, spread, max_abs_xi)
             if sink is not None:
                 sink(final)
@@ -185,12 +197,18 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
         xi_new = Q.dot(xi) + (snet_new - snet)
 
         mism = float(total(snet_new))
-        gap = abs(float(total(xi_new)) - mism)
+        xi_sum = float(total(xi_new))
+        gap = abs(xi_sum - mism)
         if gap > max_gap:
             max_gap = gap
 
-        # NaN and +-inf fail the guard's comparison too
-        max_abs_xi = float(amax(np.abs(xi_new)))
+        # a finite sum means every entry is finite, and then Python's max of
+        # abs is numpy's; otherwise the ufunc keeps a NaN, and NaN and +-inf
+        # fail the guard's comparison
+        if -math.inf < xi_sum < math.inf:
+            max_abs_xi = max(map(abs, xi_new.tolist()))
+        else:
+            max_abs_xi = float(amax(np.abs(xi_new)))
         if not max_abs_xi <= SURPLUS_DIVERGENCE_LIMIT:
             terminated = TERMINATED_DIVERGED
         elif max_abs_xi <= eps_m and amax(np.abs(lam_new - lam)) <= eps_l:

@@ -14,6 +14,7 @@ the independent cross-check for the bisection route.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -438,8 +439,8 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     first saturated tail columns; every point of the head [0, h) and of the
     tail between the two is evaluated, and of the saturated tail only its
     first point, which no later point beats or ties at a smaller index. At
-    most GRID_CHUNK_POINTS points and rows are handled at once, and no
-    axis is built whole, so memory does not grow with the grid.
+    most GRID_CHUNK_POINTS points and half as many rows are handled at
+    once, and no axis is built whole, so memory does not grow with the grid.
     """
     if not (1 <= len(scenario.generators) <= 3):
         raise ValueError("brute force supports 1 to 3 generators")
@@ -482,16 +483,19 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     S_buf, base_buf, obj_buf = np.empty(size), np.empty(size), np.empty(size)
     best_val = np.inf
     best_flat = None
-    for r0 in range(0, n_lead, GRID_CHUNK_POINTS):
-        rows = np.arange(r0, min(r0 + GRID_CHUNK_POINTS, n_lead))
+    # a row has two windows, so a block of half a chunk's rows keeps the
+    # window arrays, the longest a block holds, at a chunk's length
+    block = GRID_CHUNK_POINTS // 2
+    for r0 in range(0, n_lead, block):
+        rows = np.arange(r0, min(r0 + block, n_lead))
         lead_net = lead_cost = None  # one generator: no leading axis
         if len(gens) > 1:
             # the leading values summed in generator order, the last axis
-            # added last: the additions the whole-grid sum makes
-            lead = [values(k, i) for k, i in enumerate(np.unravel_index(rows, shape[:-1]))]
-            lead_net, lead_cost = lead[0]
-            for net, cost in lead[1:]:
-                lead_net, lead_cost = lead_net + net, lead_cost + cost
+            # added last: the additions the whole-grid sum makes. A running
+            # sum, so no axis's values outlive their addition
+            lead_net, lead_cost = functools.reduce(
+                lambda acc, term: (acc[0] + term[0], acc[1] + term[1]),
+                (values(k, i) for k, i in enumerate(np.unravel_index(rows, shape[:-1]))))
         first_feasible = _first_at_least(lead_net, last, np.full(rows.size, h), n_last, feasible_at)
         first_saturated = _first_at_least(lead_net, last, first_feasible, n_last, saturated_at)
         # two windows a row, in flat order: its head [0, h), then its tail

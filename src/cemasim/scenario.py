@@ -475,16 +475,17 @@ def validate_scenario(s: Scenario) -> list:
                         f"{name}[{i}][{j}] > 0 without edge {j}->{i}")
 
     # a constant read from a file may be a list nested a thousand deep, whose
-    # full repr exceeds the recursion limit
+    # full repr exceeds the recursion limit; one built in code may be a numpy
+    # scalar, whose repr under numpy 2 reads np.int64(-3)
     if not (_finite(s.eta) and 0 < s.eta < 1):
-        add(-1, "scenario.eta", f"eta = {reprlib.repr(s.eta)} must satisfy 0 < eta < 1")
+        add(-1, "scenario.eta", f"eta = {reprlib.repr(_plain(s.eta))} must satisfy 0 < eta < 1")
     if not (_finite(s.eps_m) and s.eps_m > 0):
-        add(-1, "scenario.eps_m", f"eps_m = {reprlib.repr(s.eps_m)} must be > 0")
+        add(-1, "scenario.eps_m", f"eps_m = {reprlib.repr(_plain(s.eps_m))} must be > 0")
     if not (_finite(s.eps_l) and s.eps_l > 0):
-        add(-1, "scenario.eps_l", f"eps_l = {reprlib.repr(s.eps_l)} must be > 0")
+        add(-1, "scenario.eps_l", f"eps_l = {reprlib.repr(_plain(s.eps_l))} must be > 0")
     if not (is_integer(s.max_iters) and s.max_iters >= 1):
         add(-1, "scenario.max_iters",
-            f"max_iters = {reprlib.repr(s.max_iters)} must be an integer >= 1")
+            f"max_iters = {reprlib.repr(_plain(s.max_iters))} must be an integer >= 1")
 
     return sorted(out)
 

@@ -545,6 +545,55 @@ class TestMalformedScenarioFiles:
             (gc.enable if was_on else gc.disable)()
 
 
+CANDIDATE_FAULTS = ("dropped-key", "bool", "string", "null", "nested-list", "wrong-length",
+                    "truncated", "deep")
+
+
+@st.composite
+def _malformed_candidates(draw, good):
+    """(fault, text): the candidate file `good` broken one way. A key dropped;
+    a bool, string, null or nested list for lambda or one entry of P; a P of
+    another length; the text cut short; or the whole file, lambda or one
+    entry of P nested 1024-3072 arrays or objects deep."""
+    fault = draw(st.sampled_from(CANDIDATE_FAULTS))
+    cand = {"P": list(good["P"]), "lambda": good["lambda"]}
+    key = draw(st.sampled_from(["P", "lambda"]))
+    entry = draw(st.integers(0, len(cand["P"]) - 1))
+
+    def replace(value):
+        """Puts value in place of lambda or of P's entry; returns the old one."""
+        holder, at = (cand["P"], entry) if key == "P" else (cand, "lambda")
+        old, holder[at] = holder[at], value
+        return old
+
+    if fault == "dropped-key":
+        del cand[key]
+    elif fault == "wrong-length":
+        n = draw(st.integers(0, 2 * len(cand["P"])).filter(lambda n: n != len(cand["P"])))
+        cand["P"] = [cand["P"][i % len(cand["P"])] for i in range(n)]
+    elif fault in ("bool", "string", "null", "nested-list"):
+        replace(draw({
+            "bool": st.booleans(),
+            "string": st.text(max_size=8),
+            "null": st.none(),
+            "nested-list": st.recursive(st.lists(st.floats(allow_nan=False), max_size=2),
+                                        lambda inner: st.lists(inner, max_size=2), max_leaves=4),
+        }[fault]))
+    text = json.dumps(cand)
+    if fault == "truncated":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    elif fault == "deep":
+        # nested in the text: json.dumps would recurse that deep
+        depth = draw(st.integers(1024, 3072))
+        opening, closing = draw(st.sampled_from([("[", "]"), ('{"x": ', "}")]))
+        if draw(st.booleans()):
+            text = opening * depth + text + closing * depth
+        else:
+            value = json.dumps(replace("@"))
+            text = json.dumps(cand).replace('"@"', opening * depth + value + closing * depth)
+    return fault, text
+
+
 class TestKktCommand:
     def test_default_candidate_certifies(self, table1_file, tmp_path):
         out = tmp_path / "kkt.json"
@@ -624,6 +673,32 @@ class TestKktCommand:
         assert captured.err.startswith(f"cannot read candidate {str(cand)!r}: {key} has ")
         assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_generated_malformed_candidates_exit_one(self, table1_file, tmp_path, capsys):
+        # every fault of _malformed_candidates is bad input: exit 1, one
+        # stderr line naming the candidate or its length, nothing on stdout
+        from cemasim import solve_centralized
+
+        sol = solve_centralized(load_scenario(table1_file))
+        good = {"P": sol.P.tolist(), "lambda": sol.lam}
+        path = tmp_path / "cand.json"
+        seen = set()
+
+        @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+        @given(case=_malformed_candidates(good))
+        def check(case):
+            fault, text = case
+            path.write_text(text)
+            assert main(["kkt", "--scenario", table1_file, "--candidate", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and "Traceback" not in captured.err, captured.err
+            assert lines[0].startswith((f"cannot read candidate {str(path)!r}: ", "candidate has "))
+            seen.add(fault)
+
+        check()
+        assert seen == set(CANDIDATE_FAULTS)
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
     def test_tol_outside_finite_non_negative_exits_one(self, table1_file, tmp_path, capsys, tol):

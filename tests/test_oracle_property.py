@@ -244,6 +244,24 @@ class TestBruteForceMemory:
             "0x1.80e7f9cb34744p+7", "0x1.49dbb87b78e60p+6", "0x1.847061fc85a84p+6"]
         assert bf.objective.hex() == "-0x1.7382de6a60b22p+8"
 
+    def test_three_generators_stay_within_3_mb(self):
+        # 221 x 240 x 271 points: 53 040 rows, in blocks of half a chunk's
+        # rows. The warm-up call builds what the scenario caches
+        s = random_scenario(3, 3, 2)
+        brute_force_reference(s, 1.0)
+        tracemalloc.start()
+        try:
+            bf = brute_force_reference(s, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+        # the bits of the search in blocks of a whole chunk's rows
+        assert [x.hex() for x in bf.P.tolist()] == [
+            "0x1.3a427986f49a1p+5", "0x1.1bcf6d2ccc3eep+6", "0x1.4c404f2da80bbp+5",
+            "0x1.649c55513c5bdp+6", "0x1.e71acca100932p+5"]
+        assert bf.objective.hex() == "-0x1.077d38b5b2a6cp+8"
+
     def test_table1_at_step_005_stays_within_4_mb(self):
         # 50.8 M points, of which the tail search evaluates about 2 M
         s = table1_scenario()

@@ -5,10 +5,12 @@ scalar best responses it called: `W @ lam` and `Q @ xi`, a max/min pair that
 is both the finiteness test and the spread of every round, and the best
 responses' helper calls. engine.run must emit the same records, end the same
 way and report the same conservation gap, with or without a sink, on stable
-and unstable gains, and on prices forced to NaN, +-inf, finite values whose
-sum overflows, or all one value.
+and unstable gains, on prices forced to NaN, +-inf, finite values whose sum
+overflows, all one value or zeros of both signs, and on powers forced so that
+the surplus xi holds a NaN or finite entries whose sum overflows.
 """
 
+import contextlib
 import dataclasses
 import math
 import sys
@@ -186,15 +188,19 @@ def _replaced_run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=
 # ---------------------------------------------------------------------------
 
 SINKS = (None, 1, 7)  # no sink, or a list sink at this stride
-FORCED = ("none", "nan", "inf", "-inf", "all-inf", "overflowing-sum", "equal")
+FORCED = ("none", "nan", "inf", "-inf", "all-inf", "overflowing-sum", "equal", "signed-zeros",
+          "overflowing-xi", "nan-xi")
 NON_FINITE = ("nan", "inf", "-inf", "all-inf")
-HUGE = 0.9e308  # finite; four or more such prices overflow their sum
+FORCED_XI = ("overflowing-xi", "nan-xi")
+HUGE = 0.9e308  # finite; four or more such prices overflow their sum, two such xi entries theirs
 
 
 def _forcing(mix, how: str, at: int):
     """`mix` with its output edited by hand at round `at`, as `how` says: one
     price NaN, inf or -inf, every price inf (the spread inf - inf is NaN),
-    every price finite near HUGE, or every price equal (for three rounds)."""
+    every price finite near HUGE, every price equal (for three rounds), or
+    every price a zero, the signs alternating from node to node and the
+    first node's flipping from round to round (for three rounds)."""
     calls = []
 
     def forced(lam, xi, W, eta):
@@ -209,6 +215,29 @@ def _forcing(mix, how: str, at: int):
             out[:] = np.linspace(HUGE, HUGE / 1.5, len(out))
         elif how == "equal" and at <= k < at + 3:
             out[:] = out[k % len(out)]
+        elif how == "signed-zeros" and at <= k < at + 3:
+            out[:] = np.where((np.arange(len(out)) + k) % 2 == 0, -0.0, 0.0)
+        return out
+
+    return forced
+
+
+def _forcing_powers(respond, how: str, at: int):
+    """`respond` with its output edited by hand at round `at`, as `how` says:
+    every consumer's power HUGE, so the surplus entries stay finite while
+    their sum overflows (a consumer's net is its power; there are at least
+    two), or one node's power NaN, so one surplus entry is NaN, at a node
+    that moves with the round."""
+    calls = []
+
+    def forced(scenario, generator_response, new_lambdas):
+        out = respond(scenario, generator_response, new_lambdas)
+        calls.append(None)
+        k = len(calls)
+        if how == "overflowing-xi" and k == at:
+            out[list(scenario.consumer_nodes)] = HUGE
+        elif how == "nan-xi" and k == at:
+            out[k % len(out)] = math.nan
         return out
 
     return forced
@@ -232,8 +261,12 @@ def _compare(scenario, variant, stride, how="none", at=1):
     for module, fn in ((engine, engine.run), (this, _replaced_run)):
         records = []
         sink = None if stride is None else records.append
-        with pytest.MonkeyPatch.context() as mp:
+        # both loops sum the overflowing powers into the mismatch and the
+        # surplus, which numpy warns of
+        quiet = np.errstate(over="ignore") if how == "overflowing-xi" else contextlib.nullcontext()
+        with pytest.MonkeyPatch.context() as mp, quiet:
             mp.setattr(module, "lambda_step", _forcing(module.lambda_step, how, at))
+            mp.setattr(module, "power_step", _forcing_powers(module.power_step, how, at))
             result = fn(scenario, variant, 1 if stride is None else stride, sink=sink)
         assert result.final is (records[-1] if records else result.final)
         runs.append((result, [_record_bits(r) for r in records or [result.final]]))
@@ -247,7 +280,7 @@ def _compare(scenario, variant, stride, how="none", at=1):
 @st.composite
 def _cases(draw):
     """A generated 2+2 to 10+10 ring capped at a few hundred rounds, stable or
-    at an unstable gain, a variant, a sink and a forced price edit."""
+    at an unstable gain, a variant, a sink and a forced price or power edit."""
     m = draw(st.integers(2, 10))
     scenario = random_scenario(draw(st.integers(0, 10**6)), m, m)
     unstable = draw(st.booleans())
@@ -268,8 +301,25 @@ class TestRunMatchesTheReplacedLoop:
     @pytest.mark.parametrize("variant", engine.VARIANTS)
     def test_table1_forced_prices(self, variant, how):
         ended = _compare(dataclasses.replace(table1_scenario(), max_iters=40), variant, 1, how, 5)
-        assert ended == ((TERMINATED_DIVERGED, 5) if how in NON_FINITE
+        assert ended == ((TERMINATED_DIVERGED, 5) if how in NON_FINITE + FORCED_XI
                          else (TERMINATED_BY_MAX_ITERS, 40))
+
+    @pytest.mark.parametrize("how", FORCED_XI)
+    def test_table1_forced_xi_reaches_the_guard(self, how):
+        # the forced round's surplus is what the case says: finite entries
+        # whose sum overflows, or a NaN after the first entry, where Python's
+        # max would skip it
+        records = []
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            mp.setattr(engine, "power_step", _forcing_powers(engine.power_step, how, 5))
+            engine.run(table1_scenario(), "corrected", sink=records.append)
+            xi = records[-1].xi
+            total = np.add.reduce(xi)
+        if how == "overflowing-xi":
+            assert np.isfinite(xi).all() and total == math.inf
+        else:
+            assert math.isnan(total) and np.flatnonzero(np.isnan(xi)).tolist() == [5 % len(xi)]
+        assert records[-1].k == 5 and not records[-1].max_abs_xi <= SURPLUS_DIVERGENCE_LIMIT
 
     def test_table1_capped_at_an_unstable_gain(self):
         s = dataclasses.replace(table1_scenario(), eta=0.9, max_iters=300)
@@ -281,7 +331,7 @@ class TestRunMatchesTheReplacedLoop:
     def test_generated_rings(self):
         seen = set()
 
-        @settings(derandomize=True, max_examples=80, database=None, deadline=None)
+        @settings(derandomize=True, max_examples=200, database=None, deadline=None)
         @given(case=_cases())
         def check(case):
             scenario, variant, stride, how, at, unstable = case

@@ -35,7 +35,15 @@ from cemasim import (
 from cemasim import scenario as scenario_module
 from cemasim.best_response import generator_response_corrected
 from cemasim.presets import ring_digraph
-from cemasim.scenario import STOCHASTIC_TOL, NodeKind, Violation, is_integer, is_real, real_array
+from cemasim.scenario import (
+    STOCHASTIC_TOL,
+    NodeKind,
+    Violation,
+    _plain,
+    is_integer,
+    is_real,
+    real_array,
+)
 
 
 GEN1 = GeneratorParams(a=0.0024, b=5.56, c=30.0, B=0.00021, p_min=60.0, p_max=339.69)
@@ -869,14 +877,14 @@ def _reference_validate(s: Scenario) -> list:
                     f"{name}[{i}][{j}] > 0 without edge {j}->{i}")
 
     if not (_reference_finite(s.eta) and 0 < s.eta < 1):
-        add(-1, "scenario.eta", f"eta = {reprlib.repr(s.eta)} must satisfy 0 < eta < 1")
+        add(-1, "scenario.eta", f"eta = {reprlib.repr(_plain(s.eta))} must satisfy 0 < eta < 1")
     if not (_reference_finite(s.eps_m) and s.eps_m > 0):
-        add(-1, "scenario.eps_m", f"eps_m = {reprlib.repr(s.eps_m)} must be > 0")
+        add(-1, "scenario.eps_m", f"eps_m = {reprlib.repr(_plain(s.eps_m))} must be > 0")
     if not (_reference_finite(s.eps_l) and s.eps_l > 0):
-        add(-1, "scenario.eps_l", f"eps_l = {reprlib.repr(s.eps_l)} must be > 0")
+        add(-1, "scenario.eps_l", f"eps_l = {reprlib.repr(_plain(s.eps_l))} must be > 0")
     if not (is_integer(s.max_iters) and s.max_iters >= 1):
         add(-1, "scenario.max_iters",
-            f"max_iters = {reprlib.repr(s.max_iters)} must be an integer >= 1")
+            f"max_iters = {reprlib.repr(_plain(s.max_iters))} must be an integer >= 1")
 
     return sorted(out)
 
@@ -898,8 +906,24 @@ _CON_FIELDS = ("w", "alpha", "p_min", "p_max")
 _CONSTANTS = ("eta", "eps_m", "eps_l", "max_iters")
 
 
+def _numpy_scalar(x):
+    """x as the numpy scalar of its type: np.bool_, np.int64 (an int within
+    its range) or np.float64; any other value as given."""
+    if isinstance(x, bool):
+        return np.bool_(x)
+    if isinstance(x, int) and -2**63 <= x < 2**63:
+        return np.int64(x)
+    if isinstance(x, float):
+        return np.float64(x)
+    return x
+
+
 @st.composite
-def _broken_scenarios(draw):
+def _broken_scenarios(draw, numpy_scalars=False):
+    """A generated ring with up to eight bad parameters, constants or weight
+    entries, a cut edge or node, and kinds and parameters that may disagree
+    in count. With numpy_scalars every parameter and constant is a numpy
+    scalar, as a scenario built in code may hold."""
     n_gen, n_con = draw(st.integers(2, 20)), draw(st.integers(2, 20))
     n = n_gen + n_con
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -949,6 +973,10 @@ def _broken_scenarios(draw):
     if draw(st.booleans()):
         # kinds and parameters that disagree in count
         cons = cons[:draw(st.integers(0, n_con - 1))]
+    if numpy_scalars:
+        gens, cons = ([type(p)(*map(_numpy_scalar, dataclasses.astuple(p))) for p in group]
+                      for group in (gens, cons))
+        constants = {name: _numpy_scalar(x) for name, x in constants.items()}
     return Scenario(generators=tuple(gens), consumers=tuple(cons), graph=graph,
                     weights=WeightMatrices(W=W, Q=Q), **constants)
 
@@ -979,6 +1007,32 @@ class TestViolationsMatchTheReference:
         with np.errstate(over="ignore", invalid="ignore"):
             messages = [v.message for v in validate_scenario(s) if v.rule.startswith("weights.")]
         assert not [m for m in messages if "np." in m]
+
+    def test_messages_print_plain_numbers(self):
+        # a numpy scalar's repr reads np.int64(-3) under numpy 2 and -3 under
+        # 1.x; every rule's message prints the plain number
+        seen = set()
+
+        @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+        @given(s=_broken_scenarios(numpy_scalars=True))
+        def check(s):
+            got, want = self._both(s)
+            assert got == want
+            assert not [m for _, _, m in got if "np." in m]
+            seen.update(rule for _, rule, _ in got)
+
+        check()
+        assert {f"scenario.{name}" for name in _CONSTANTS} <= seen
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("eta", np.int64(-3), "eta = -3 must satisfy 0 < eta < 1"),
+        ("eps_m", np.float32(math.inf), "eps_m = inf must be > 0"),
+        ("eps_l", np.float64(math.nan), "eps_l = nan must be > 0"),
+        ("max_iters", np.float64(2.5), "max_iters = 2.5 must be an integer >= 1"),
+    ])
+    def test_numpy_scalar_constant_prints_plain(self, table1, name, value, message):
+        s = dataclasses.replace(table1, **{name: value})
+        assert [v.message for v in validate_scenario(s)] == [message]
 
     def test_off_stochastic_row_prints_its_sum(self, table1):
         W = table1.weights.W.copy()
