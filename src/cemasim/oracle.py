@@ -51,16 +51,6 @@ def _ordered_sum(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1]) + 0.0 if x.size else 0.0
 
 
-def _node_order(scenario: Scenario, gen_values, con_values) -> np.ndarray:
-    """One node-order array from its values at the generators and at the
-    consumers, each in `AgentView.by_kind` order."""
-    (gen_nodes, _), (con_nodes, _) = scenario.agents.by_kind
-    out = np.empty(scenario.n_nodes)
-    out[gen_nodes] = gen_values
-    out[con_nodes] = con_values
-    return out
-
-
 def _node_powers(scenario: Scenario, P) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.shape != (scenario.n_nodes,):
@@ -71,15 +61,17 @@ def _node_powers(scenario: Scenario, P) -> np.ndarray:
 def objective_value(scenario: Scenario, P: np.ndarray) -> float:
     """Total cost minus total utility at a full node-order power vector."""
     P = _node_powers(scenario, P)
-    (gen_nodes, gens), (con_nodes, cons) = scenario.agents.by_kind
-    return _ordered_sum(_node_order(scenario, gens.cost(P[gen_nodes]), -cons.utility(P[con_nodes])))
+    agents = scenario.agents
+    (gen_nodes, gens), (con_nodes, cons) = agents.by_kind
+    return _ordered_sum(agents.node_order(gens.cost(P[gen_nodes]), -cons.utility(P[con_nodes])))
 
 
 def _responses(scenario: Scenario, lam: float) -> np.ndarray:
     """Node-order best responses of the corrected problem at the one price lam >= 0."""
-    (_, gens), (_, cons) = scenario.agents.by_kind
-    return _node_order(scenario, generator_response_corrected_array(gens, lam),
-                       consumer_response_array(cons, lam))
+    agents = scenario.agents
+    (_, gens), (_, cons) = agents.by_kind
+    return agents.node_order(generator_response_corrected_array(gens, lam),
+                             consumer_response_array(cons, lam))
 
 
 def _balance(scenario: Scenario, lam: float) -> float:
@@ -251,14 +243,15 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
     if not is_real(lam):  # float() would take "1e-3", True and Fraction(1)
         raise ValueError(f"lambda {lam!r} is not a number")
     lam = float(lam)
-    (gen_nodes, gens), (con_nodes, cons) = scenario.agents.by_kind
+    agents = scenario.agents
+    (gen_nodes, gens), (con_nodes, cons) = agents.by_kind
     P_gen, P_con = P[gen_nodes], P[con_nodes]
     # stationarity: C'(P) - lam*(1 - 2BP) - gamma + nu = 0 for a generator,
     # lam - U'(P) - gamma + nu = 0 for a consumer
-    expr = _node_order(scenario, gens.marginal_cost(P_gen) - lam * gens.marginal_net(P_gen),
-                       lam - cons.marginal_utility(P_con))
-    lower_slack = P - _node_order(scenario, gens.p_min, cons.p_min)
-    upper_slack = _node_order(scenario, gens.p_max, cons.p_max) - P
+    expr = agents.node_order(gens.marginal_cost(P_gen) - lam * gens.marginal_net(P_gen),
+                             lam - cons.marginal_utility(P_con))
+    lower_slack = P - agents.node_order(gens.p_min, cons.p_min)
+    upper_slack = agents.node_order(gens.p_max, cons.p_max) - P
     lower = (np.abs(lower_slack) <= ACTIVE_BOUND_TOL) & (expr >= 0.0)
     upper = ~lower & (np.abs(upper_slack) <= ACTIVE_BOUND_TOL) & (expr <= 0.0)
     gamma = np.where(lower, expr, 0.0)
@@ -530,5 +523,5 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     # rebuild the full node vector: consumers at the balancing price (>= 0)
     # of the winning supply level
     mu = float(_balancing_price(_ordered_sum(gen_arrays.net(best_gen)), mu_knots, demand_knots))
-    P = _node_order(scenario, best_gen, consumer_response_array(cons, mu))
+    P = scenario.agents.node_order(best_gen, consumer_response_array(cons, mu))
     return BruteForceResult(P=P, objective=best_val, grid_step=grid_step)

@@ -246,30 +246,32 @@ class WeightMatrices:
 @dataclass(frozen=True, eq=False)
 class AgentView:
     """Node i's parameters, sign (-1 generator, +1 consumer: producing drains
-    surplus) and loss coefficient (B, or 0 for a consumer), in node order."""
+    surplus) and loss coefficient (B, or 0 for a consumer), in node order, and
+    `by_kind`: (node indices, parameters) of the generators, then of the
+    consumers, with GeneratorParams / ConsumerParams of float arrays."""
 
     params: tuple
-    sign: np.ndarray
-    loss: np.ndarray
+    by_kind: tuple
+    sign: np.ndarray = field(init=False)
+    loss: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sign", self.node_order(-1.0, 1.0))
+        object.__setattr__(self, "loss", self.node_order(self.by_kind[0][1].B, 0.0))
 
     def net(self, P: np.ndarray) -> np.ndarray:
         """Net injection P - B*P^2 of every node: GeneratorParams.net as one
         node-order vector expression for the engine's round loop."""
         return P - self.loss * P * P
 
-    @cached_property
-    def by_kind(self) -> tuple:
-        """(node indices, parameters) of the generators, then of the consumers,
-        in node order: a GeneratorParams / ConsumerParams whose fields are
-        float arrays, for the array-form best responses. Built on first use
-        and freed with the view."""
-        out = []
-        for cls in (GeneratorParams, ConsumerParams):
-            nodes = [i for i, p in enumerate(self.params) if isinstance(p, cls)]
-            arrays = {f.name: np.array([getattr(self.params[i], f.name) for i in nodes], dtype=float)
-                      for f in fields(cls)}
-            out.append((np.array(nodes, dtype=np.intp), cls(**arrays)))
-        return tuple(out)
+    def node_order(self, gen_values, con_values) -> np.ndarray:
+        """One node-order array from its values at the generators and at the
+        consumers, each in `by_kind` order (a number fills its whole kind)."""
+        (gen_nodes, _), (con_nodes, _) = self.by_kind
+        out = np.empty(len(self.params))
+        out[gen_nodes] = gen_values
+        out[con_nodes] = con_values
+        return out
 
 
 @dataclass(frozen=True)
@@ -291,28 +293,32 @@ class Scenario:
     def n_nodes(self) -> int:
         return self.graph.n
 
-    @property
+    # the node lists are read off graph.node_kind once, binding the enum
+    # member first: reading it costs about 0.1 us on Python 3.11
+    @cached_property
     def generator_nodes(self) -> tuple:
-        return tuple(i for i, k in enumerate(self.graph.node_kind) if k is NodeKind.GENERATOR)
+        generator = NodeKind.GENERATOR
+        return tuple(i for i, k in enumerate(self.graph.node_kind) if k is generator)
 
-    @property
+    @cached_property
     def consumer_nodes(self) -> tuple:
-        return tuple(i for i, k in enumerate(self.graph.node_kind) if k is NodeKind.CONSUMER)
+        consumer = NodeKind.CONSUMER
+        return tuple(i for i, k in enumerate(self.graph.node_kind) if k is consumer)
 
     @cached_property
     def agents(self) -> AgentView:
         """Node-order view, built once; the j-th generator-kind node maps to
         generators[j]. Raises ValueError if kind and parameter counts differ."""
-        gen = list(self.generator_nodes)
         params = [None] * len(self.graph.node_kind)
-        for nodes, group in ((gen, self.generators), (self.consumer_nodes, self.consumers)):
+        by_kind = []
+        for nodes, group, cls in ((self.generator_nodes, self.generators, GeneratorParams),
+                                  (self.consumer_nodes, self.consumers, ConsumerParams)):
             for node, p in zip(nodes, group, strict=True):
                 params[node] = p
-        sign = np.ones(len(params))
-        sign[gen] = -1.0
-        loss = np.zeros(len(params))
-        loss[gen] = [g.B for g in self.generators]
-        return AgentView(params=tuple(params), sign=sign, loss=loss)
+            arrays = {f.name: np.array([getattr(p, f.name) for p in group], dtype=float)
+                      for f in fields(cls)}
+            by_kind.append((np.array(nodes, dtype=np.intp), cls(**arrays)))
+        return AgentView(params=tuple(params), by_kind=tuple(by_kind))
 
 
 @dataclass(frozen=True, order=True)
@@ -378,17 +384,16 @@ def validate_scenario(s: Scenario) -> list:
         out.append(Violation(node=node, rule=rule, message=message))
 
     kinds = s.graph.node_kind
-    n_gen_nodes = sum(1 for k in kinds if k is NodeKind.GENERATOR)
-    n_con_nodes = len(kinds) - n_gen_nodes
+    gen_nodes, con_nodes = s.generator_nodes, s.consumer_nodes
     if len(kinds) != s.graph.n:
         add(-1, "graph.kinds_length", f"node_kind has {len(kinds)} entries for {s.graph.n} nodes")
     if s.graph.n != len(s.generators) + len(s.consumers):
         add(-1, "scenario.node_count",
             f"graph has {s.graph.n} nodes but {len(s.generators)} generators + "
             f"{len(s.consumers)} consumers")
-    if n_gen_nodes != len(s.generators) or n_con_nodes != len(s.consumers):
+    if len(gen_nodes) != len(s.generators) or len(con_nodes) != len(s.consumers):
         add(-1, "scenario.kind_counts",
-            f"kinds declare {n_gen_nodes} generator / {n_con_nodes} consumer nodes, "
+            f"kinds declare {len(gen_nodes)} generator / {len(con_nodes)} consumer nodes, "
             f"params give {len(s.generators)} / {len(s.consumers)}")
 
     # the walks over range(n) only once n is the number of kinds given: a
@@ -399,7 +404,6 @@ def validate_scenario(s: Scenario) -> list:
         if not s.graph.is_strongly_connected():
             add(-1, "graph.strongly_connected", "graph is not strongly connected")
 
-    gen_nodes = s.generator_nodes
     for j, g in enumerate(s.generators):
         node = gen_nodes[j] if j < len(gen_nodes) else -1
         if not all(_finite(x) for x in (g.a, g.b, g.c, g.B, g.p_min, g.p_max)):
@@ -422,7 +426,6 @@ def validate_scenario(s: Scenario) -> list:
             add(node, "gen.price_finite",
                 f"generator {j}: loss-adjusted marginal cost is not finite at p_min or p_max")
 
-    con_nodes = s.consumer_nodes
     for j, c in enumerate(s.consumers):
         node = con_nodes[j] if j < len(con_nodes) else -1
         if not all(_finite(x) for x in (c.w, c.alpha, c.p_min, c.p_max)):

@@ -1,9 +1,10 @@
 """The oracle's per-kind array evaluations against per-node reference loops.
 
 `kkt_check`, `objective_value` and `implied_prices` read
-`AgentView.by_kind` as array expressions. The loops below compute the same
-results node by node, with `ConsumerParams.utility` and `.marginal_utility`
-written as scalar branches; every result must match them bit for bit.
+`AgentView.by_kind` as array expressions and scatter them back with
+`AgentView.node_order`. The loops below compute the same results node by
+node, with `ConsumerParams.utility` and `.marginal_utility` written as scalar
+branches; every result, and the view itself, must match them bit for bit.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cemasim import (
+    ConsumerParams,
     Digraph,
     GeneratorParams,
     KktReport,
@@ -108,6 +110,29 @@ def _kkt_loop(P, lam, scenario, tol=CERTIFY_TOL) -> dict:
     }
 
 
+def _check_view_loop(scenario, P):
+    """The view's sign, loss, net, by_kind and node_order against loops over
+    its params, which must hold the generators and consumers in their order."""
+    agents = scenario.agents
+    params = agents.params
+    is_gen = [isinstance(p, GeneratorParams) for p in params]
+    assert is_gen == [k == "generator" for k in scenario.graph.node_kind]
+    assert [p for p, g in zip(params, is_gen) if g] == list(scenario.generators)
+    assert [p for p, g in zip(params, is_gen) if not g] == list(scenario.consumers)
+    assert _bits(agents.sign) == _bits([-1.0 if g else 1.0 for g in is_gen])
+    assert _bits(agents.loss) == _bits([p.B if g else 0.0 for p, g in zip(params, is_gen)])
+    assert _bits(agents.net(P)) == _bits([p.net(x) if g else x
+                                         for p, g, x in zip(params, is_gen, P.tolist())])
+    for (nodes, arrays), cls in zip(agents.by_kind, (GeneratorParams, ConsumerParams)):
+        want = [i for i, p in enumerate(params) if isinstance(p, cls)]
+        assert nodes.dtype == np.intp and nodes.tolist() == want
+        for f in dataclasses.fields(cls):
+            assert _bits(getattr(arrays, f.name)) == _bits([getattr(params[i], f.name) for i in want])
+    (_, gens), (_, cons) = agents.by_kind
+    values = {GeneratorParams: iter(gens.a.tolist()), ConsumerParams: iter(cons.w.tolist())}
+    assert _bits(agents.node_order(gens.a, cons.w)) == _bits([next(values[type(p)]) for p in params])
+
+
 def _implied_prices_loop(P_gen, scenario, variant):
     _, price = variant_pair(variant)
     return np.array([price(g, x) for g, x in zip(scenario.generators, P_gen.tolist())])
@@ -156,6 +181,7 @@ class TestAgainstPerNodeLoops:
     @given(case=_kkt_case())
     def test_kkt_objective_and_prices_same_bits(self, case):
         scenario, P, lams = case
+        _check_view_loop(scenario, P)
         for lam in lams:
             report = kkt_check(P, lam, scenario)
             want = _kkt_loop(P, lam, scenario)
@@ -176,6 +202,7 @@ class TestAgainstPerNodeLoops:
     def test_same_bits_at_the_optimum(self, seed, n_gen, n_con):
         s = random_scenario(seed, n_gen, n_con)
         sol = solve_centralized(s)
+        _check_view_loop(s, sol.P)
         assert sol.objective == _objective_loop(s, sol.P)
         report = kkt_check(sol.P, sol.lam, s)
         want = _kkt_loop(sol.P, sol.lam, s)

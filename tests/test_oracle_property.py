@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemasim import (
@@ -154,9 +154,23 @@ def _monotone_from(g, grid):
 class TestBruteForceProperty:
     def test_matches_full_evaluation(self, monkeypatch):
         seen = set()
+        # the explicit examples give every required tag: the derandomized
+        # draws depend on which test files share the session. Twin generators
+        # tie at (30, 30.5) and (30.5, 30); a falling cost first gives h > 0
+        twin = GeneratorParams(a=0.004, b=5.0, c=10.0, B=2e-4, p_min=20.0, p_max=60.0)
+        tie = _scenario([twin, twin], [ConsumerParams(w=8.0, alpha=0.05, p_min=60.0, p_max=110.0)])
+        head = _scenario([GeneratorParams(a=0.004, b=-2.0, c=10.0, B=2e-4, p_min=10.0, p_max=100.0)],
+                         [ConsumerParams(w=8.0, alpha=0.05, p_min=50.0, p_max=120.0)])
+        three = _scenario([GeneratorParams(a=0.002, b=1.0, c=0.0, B=1e-4, p_min=10.0, p_max=40.0),
+                           GeneratorParams(a=0.003, b=1.5, c=0.0, B=1e-4, p_min=10.0, p_max=30.0),
+                           GeneratorParams(a=0.004, b=2.0, c=0.0, B=1e-4, p_min=10.0, p_max=30.0)],
+                          [ConsumerParams(w=10.0, alpha=0.1, p_min=40.0, p_max=60.0)])
 
         @settings(derandomize=True, max_examples=150, database=None, deadline=None)
         @given(case=_grid_cases())
+        @example(case=(tie, 0.5, GRID_CHUNK_POINTS))
+        @example(case=(head, 1.0, 7))
+        @example(case=(three, 1.0, 64))
         def check(case):
             s, step, budget = case
             monkeypatch.setattr(oracle, "GRID_CHUNK_POINTS", budget)
