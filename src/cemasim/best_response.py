@@ -9,6 +9,8 @@ raw output P (original) or the loss-adjusted net injection P - B*P^2
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +66,10 @@ def consumer_response(p: ConsumerParams, lam: float) -> float:
         raise _not_finite(lam)
     if lam < 0.0:
         return p.p_max
-    x = p.saturation if lam == 0.0 else (p.w - lam) / (2.0 * p.alpha)
+    # with w > 0, as validate_scenario requires, the stationary point
+    # (w - lam)/(2*alpha) at lam = +-0 is the saturation point bit for bit,
+    # so one expression covers the zero price too
+    x = (p.w - lam) / (2.0 * p.alpha)
     return p.p_min if x < p.p_min else p.p_max if x > p.p_max else x
 
 
@@ -106,27 +111,29 @@ def consumer_response_array(p: ConsumerParams, lam) -> np.ndarray:
     return _clip_array((p.w - lam) / (2.0 * p.alpha), p.p_min, p.p_max)
 
 
-def _variant_table() -> dict:
-    # rebuilt per lookup from the module's current names, so a response
-    # function rebound on the module (bench/spans.py counts calls that way)
-    # is the one a run calls
-    return {
-        "original": (generator_response_original, GeneratorParams.marginal_cost),
-        "corrected": (generator_response_corrected, GeneratorParams.loss_adjusted_marginal_cost),
-    }
+@dataclass(frozen=True)
+class Variant:
+    """A generator update: its scalar best response and its implied price, the
+    price at which an interior P is that best response (raw marginal cost for
+    `original`, loss-adjusted marginal cost for `corrected`)."""
+
+    response: Callable
+    implied_price: Callable
 
 
-VARIANTS = tuple(_variant_table())
+VARIANTS = ("original", "corrected")
 
 
-def variant_pair(variant: str) -> tuple:
-    """(generator best response, implied price) of a variant: the price at
-    which an interior P is the variant's best response, raw marginal cost for
-    `original` and loss-adjusted marginal cost for `corrected`."""
-    try:
-        return _variant_table()[variant]
-    except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
+def get_variant(name: str) -> Variant:
+    """The Variant record of `name`, one of VARIANTS."""
+    # built per call from the module's current names, so a response function
+    # rebound on the module (bench/spans.py counts calls that way) is the one
+    # a run calls
+    if name == "original":
+        return Variant(generator_response_original, GeneratorParams.marginal_cost)
+    if name == "corrected":
+        return Variant(generator_response_corrected, GeneratorParams.loss_adjusted_marginal_cost)
+    raise ValueError(f"unknown variant {name!r}")
 
 
 def lambda_init(params: AgentParams) -> float:

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, oracle, verdict
+from . import best_response, engine, oracle, verdict
 from .presets import TABLE1_REFERENCE_DISPATCH, random_scenario, table1_scenario
 from .scenario import (
     Scenario,
@@ -229,9 +229,9 @@ def cmd_run(args) -> int:
         summaries = [run_variant(args.variant)]
     elif _runs_forked(scenario):
         # the first variant in the child, the second here
-        summaries = _forked(*(functools.partial(run_variant, v) for v in engine.VARIANTS))
+        summaries = _forked(*(functools.partial(run_variant, v) for v in best_response.VARIANTS))
     else:
-        summaries = [run_variant(v) for v in engine.VARIANTS]
+        summaries = [run_variant(v) for v in best_response.VARIANTS]
     # printed after every run, in variant order, on either path
     for summary in summaries:
         print(
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the consensus iteration")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
-    p_run.add_argument("--variant", choices=[*engine.VARIANTS, "both"], default="corrected")
+    p_run.add_argument("--variant", choices=[*best_response.VARIANTS, "both"], default="corrected")
     p_run.add_argument("--output-dir", default=".", help="directory for traces and reports")
     p_run.add_argument("--trace-stride", type=int, default=1)
     p_run.add_argument("--eta", type=float, default=None, help="override the scenario gain")

@@ -27,8 +27,6 @@ TERMINATED_BY_TOLERANCE = "by-tolerance"
 TERMINATED_BY_MAX_ITERS = "by-max-iters"
 TERMINATED_DIVERGED = "diverged"
 
-VARIANTS = best_response.VARIANTS
-
 SURPLUS_DIVERGENCE_LIMIT = 1e9
 
 
@@ -77,7 +75,7 @@ class RunResult:
 def mismatch(P: np.ndarray, scenario: Scenario) -> float:
     """Demand minus net supply, sum_cons P[j] - sum_gen (P[i] - B[i]*P[i]^2)."""
     agents = scenario.agents
-    return float(np.sum(agents.sign * agents.net(np.asarray(P, dtype=float))))
+    return float(np.sum(agents.sign * agents.net(agents.node_powers(P))))
 
 
 # The round's first two phases. `run` calls both through this module once a
@@ -127,7 +125,7 @@ def run(scenario: Scenario, variant: str, trace_stride: int = 1, sink=None) -> R
     if violations:
         raise InvalidScenarioError(violations)
     # the variant fixes the generator's update for the whole run
-    generator_response = best_response.variant_pair(variant)[0]
+    generator_response = best_response.get_variant(variant).response
     if not (is_integer(trace_stride) and trace_stride >= 1):
         raise ValueError("trace_stride must be an integer >= 1")
 

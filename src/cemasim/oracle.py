@@ -23,7 +23,7 @@ import numpy as np
 from .best_response import (
     consumer_response_array,
     generator_response_corrected_array,
-    variant_pair,
+    get_variant,
 )
 from .scenario import GeneratorParams, Scenario, is_real
 
@@ -51,17 +51,10 @@ def _ordered_sum(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1]) + 0.0 if x.size else 0.0
 
 
-def _node_powers(scenario: Scenario, P) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    if P.shape != (scenario.n_nodes,):
-        raise ValueError(f"expected {scenario.n_nodes} node powers, got shape {P.shape}")
-    return P
-
-
 def objective_value(scenario: Scenario, P: np.ndarray) -> float:
     """Total cost minus total utility at a full node-order power vector."""
-    P = _node_powers(scenario, P)
     agents = scenario.agents
+    P = agents.node_powers(P)
     (gen_nodes, gens), (con_nodes, cons) = agents.by_kind
     return _ordered_sum(agents.node_order(gens.cost(P[gen_nodes]), -cons.utility(P[con_nodes])))
 
@@ -239,7 +232,7 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
     stationarity residual. Box violations appear as negative primal slack,
     not as errors.
     """
-    P = _node_powers(scenario, P)
+    P = scenario.agents.node_powers(P)
     if not is_real(lam):  # float() would take "1e-3", True and Fraction(1)
         raise ValueError(f"lambda {lam!r} is not a number")
     lam = float(lam)
@@ -297,17 +290,16 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
 
 def implied_prices(P_gen, scenario: Scenario, variant: str) -> np.ndarray:
     """Per-generator price each variant's stationarity implies at powers P_gen,
-    the second entry of `variant_pair`.
+    the `implied_price` of its Variant record.
 
     At a true optimum the corrected values of interior generators coincide;
     the original values generally cannot, which is the contradiction this
     toolkit reproduces.
     """
     P_gen = np.asarray(P_gen, dtype=float)
-    if P_gen.size != len(scenario.generators):
+    if P_gen.shape != (len(scenario.generators),):
         raise ValueError("expected one power per generator")
-    _, price = variant_pair(variant)
-    return price(scenario.agents.by_kind[0][1], P_gen)
+    return get_variant(variant).implied_price(scenario.agents.by_kind[0][1], P_gen)
 
 
 # ---------------------------------------------------------------------------

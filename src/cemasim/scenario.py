@@ -264,6 +264,14 @@ class AgentView:
         node-order vector expression for the engine's round loop."""
         return P - self.loss * P * P
 
+    def node_powers(self, P) -> np.ndarray:
+        """P as a float array of one power per node, the shape every
+        node-order power input must have; raises ValueError otherwise."""
+        P = np.asarray(P, dtype=float)
+        if P.shape != (len(self.params),):
+            raise ValueError(f"expected {len(self.params)} node powers, got shape {P.shape}")
+        return P
+
     def node_order(self, gen_values, con_values) -> np.ndarray:
         """One node-order array from its values at the generators and at the
         consumers, each in `by_kind` order (a number fills its whole kind)."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import engine, oracle
+from . import best_response, engine, oracle
 from .scenario import Scenario
 
 # spread of loss-adjusted marginal costs across interior generators above
@@ -29,7 +29,7 @@ def interior(scenario: Scenario, P_gen: np.ndarray) -> np.ndarray:
 
 def implied_prices(scenario: Scenario, P_gen: np.ndarray) -> dict:
     """{variant: its implied generator prices at generator powers P_gen}."""
-    return {v: oracle.implied_prices(P_gen, scenario, v) for v in engine.VARIANTS}
+    return {v: oracle.implied_prices(P_gen, scenario, v) for v in best_response.VARIANTS}
 
 
 def implied_price_lists(scenario: Scenario, P_gen: np.ndarray) -> dict:
@@ -83,7 +83,7 @@ def counterexample(scenario: Scenario) -> dict:
     }
 
     variants = payload["variants"] = {}
-    for variant in engine.VARIANTS:
+    for variant in best_response.VARIANTS:
         result = engine.run(scenario, variant)
         final = result.final
         entry = variants[variant] = {

@@ -23,7 +23,7 @@ from cemasim.best_response import (
     VARIANTS,
     consumer_response_array,
     generator_response_corrected_array,
-    variant_pair,
+    get_variant,
 )
 from conftest import (
     consumer_compare,
@@ -140,6 +140,17 @@ class TestConsumerResponse:
         assert consumer_response(CON1, 0.0) == 100.34
         loose = ConsumerParams(w=18.43, alpha=0.0545, p_min=50.0, p_max=500.0)
         assert consumer_response(loose, 0.0) == pytest.approx(loose.saturation, abs=0)
+        # both zeros give the bits of the saturation point clipped to the
+        # box, on boxes below, around and above it and with an edge on it
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            c = _random_consumer(rng)
+            sat = c.saturation
+            for con in (c, dataclasses.replace(c, p_min=sat, p_max=max(sat, c.p_max)),
+                        dataclasses.replace(c, p_min=min(sat, c.p_min), p_max=sat)):
+                want = con.p_min if sat < con.p_min else con.p_max if sat > con.p_max else sat
+                for lam in (0.0, -0.0):
+                    assert _bits(consumer_response(con, lam)) == _bits(want)
 
     def test_negative_price_takes_cap(self):
         assert consumer_response(CON1, -2.5) == 100.34
@@ -256,18 +267,18 @@ class TestFixedPointIdentities:
             assert (2.0 * p.a * P + p.b) / (1.0 - 2.0 * p.B * P) == pytest.approx(lam, abs=1e-10)
 
 
-class TestVariantTable:
+class TestVariantRecord:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_response_inverts_implied_price(self, table1, variant):
-        response, price = variant_pair(variant)
+        record = get_variant(variant)
         rng = np.random.default_rng(41)
         for g in table1.generators:
             for P in rng.uniform(g.p_min, g.p_max, size=200).tolist():
-                assert abs(response(g, price(g, P)) - P) <= 1e-9
+                assert abs(record.response(g, record.implied_price(g, P)) - P) <= 1e-9
 
     def test_unknown_variant_message_is_shared(self, table1):
         calls = (
-            lambda: variant_pair("bogus"),
+            lambda: get_variant("bogus"),
             lambda: run(table1, "bogus"),
             lambda: implied_prices(np.zeros(2), table1, "bogus"),
         )

@@ -27,6 +27,7 @@ from cemasim import (
     GeneratorParams,
     Scenario,
     Violation,
+    best_response,
     build_uniform_weights,
     engine,
     load_scenario,
@@ -299,8 +300,8 @@ class TestStreamedRunOutputs:
                      str(streamed), "--trace-stride", str(stride), *flags]) == (
             0 if ended == "by-tolerance" else 2)
         scenario = dataclasses.replace(load_scenario(path), **overrides)
-        assert engine.VARIANTS == ("original", "corrected")
-        for variant, rounds in zip(engine.VARIANTS, last):
+        assert best_response.VARIANTS == ("original", "corrected")
+        for variant, rounds in zip(best_response.VARIANTS, last):
             result, records = _kept(scenario, variant, trace_stride=stride)
             assert (result.terminated, result.rounds) == (ended, rounds)
             assert records[-1] is result.final
@@ -1003,7 +1004,7 @@ class TestForkedBothRun:
                      "--output-dir", str(tmp_path / "forked")]) == 0
         forked_out = capsys.readouterr().out
         assert len(forks) == 1
-        for variant in engine.VARIANTS:
+        for variant in best_response.VARIANTS:
             assert main(["run", "--scenario", path, "--variant", variant,
                          "--output-dir", str(tmp_path / "single")]) == 0
         single_out = capsys.readouterr().out
@@ -1024,19 +1025,19 @@ class TestForkedBothRun:
     @pytest.mark.parametrize("seed, capped", [(1, "corrected"), (3, "original")])
     def test_one_variant_at_the_cap_exits_two(self, forked_files, tmp_path, forks, seed, capped):
         scenario = load_scenario(forked_files[seed])
-        rounds = {v: engine.run(scenario, v).rounds for v in engine.VARIANTS}
+        rounds = {v: engine.run(scenario, v).rounds for v in best_response.VARIANTS}
         assert max(rounds, key=rounds.get) == capped
         cap = min(rounds.values())
         assert main(["run", "--scenario", forked_files[seed], "--variant", "both",
                      "--max-iters", str(cap), "--output-dir", str(tmp_path)]) == 2
         assert len(forks) == 1
-        for variant in engine.VARIANTS:
+        for variant in best_response.VARIANTS:
             report = json.loads((tmp_path / f"report_{variant}.json").read_text())
             assert report["rounds"] == cap
             assert report["terminated"] == (
                 "by-max-iters" if variant == capped else "by-tolerance")
 
-    @pytest.mark.parametrize("variant", engine.VARIANTS)
+    @pytest.mark.parametrize("variant", best_response.VARIANTS)
     def test_an_unwritable_trace_exits_one_without_traceback(self, forked_files, tmp_path,
                                                             capsys, forks, variant):
         # original fails in the child, corrected in the parent

@@ -126,11 +126,11 @@ class TestResponseCounts:
 
     @pytest.mark.parametrize("make", [table1_scenario, lambda: random_scenario(1, 8, 8)],
                              ids=["table1", "random-8-8"])
-    @pytest.mark.parametrize("variant", engine.VARIANTS)
+    @pytest.mark.parametrize("variant", best_response.VARIANTS)
     def test_one_call_per_node_and_round(self, monkeypatch, make, variant):
         scenario = make()
         calls = dict.fromkeys(("generator_response_original", "generator_response_corrected",
-                               "consumer_response", "variant_pair"), 0)
+                               "consumer_response", "get_variant"), 0)
 
         def counted(name, fn):
             def wrapper(*args):
@@ -147,7 +147,7 @@ class TestResponseCounts:
             f"generator_response_{variant}": result.rounds * len(scenario.generators),
             f"generator_response_{other}": 0,
             "consumer_response": result.rounds * len(scenario.consumers),
-            "variant_pair": 1,
+            "get_variant": 1,
         }
 
 
@@ -365,7 +365,7 @@ class TestRun:
             s = dataclasses.replace(table1, eps_m=1e-300, eps_l=1e-300, max_iters=rounds)
             tracemalloc.start()
             try:
-                for variant in engine.VARIANTS:
+                for variant in best_response.VARIANTS:
                     assert run(s, variant).rounds == rounds
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -515,7 +515,7 @@ class TestTraceSerialization:
         assert int(last[0]) == result.rounds
         assert abs(float(last[3])) <= table1.eps_m
 
-    @pytest.mark.parametrize("variant", engine.VARIANTS)
+    @pytest.mark.parametrize("variant", best_response.VARIANTS)
     def test_16_node_run_equals_the_reference(self, variant):
         # every kept round of a 16-node ring: many full blocks, a partial
         # last one, and values over many decades

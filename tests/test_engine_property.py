@@ -12,13 +12,12 @@ from cemasim import (
     lambda_init,
     table1_scenario,
 )
-from cemasim.best_response import variant_pair
+from cemasim.best_response import VARIANTS, get_variant
 from cemasim.engine import (
     SURPLUS_DIVERGENCE_LIMIT,
     TERMINATED_BY_MAX_ITERS,
     TERMINATED_BY_TOLERANCE,
     TERMINATED_DIVERGED,
-    VARIANTS,
     lambda_step,
     power_step,
 )
@@ -38,7 +37,7 @@ def _reference_run(scenario, variant, trace_stride):
     W, Q = scenario.weights.W, scenario.weights.Q
     agents = scenario.agents
     sign = agents.sign
-    generator_response = variant_pair(variant)[0]
+    generator_response = get_variant(variant).response
     lam = np.array([lambda_init(p) for p in agents.params])
     P = np.zeros(scenario.n_nodes)
     net = agents.net(P)

@@ -384,8 +384,10 @@ class TestImpliedPrices:
         )
 
     def test_wrong_length_rejected(self, table1):
-        with pytest.raises(ValueError):
-            implied_prices(np.array([1.0, 2.0, 3.0]), table1, "original")
+        # a (2, 1) or (1, 2) array has table1's two entries, not its shape
+        for shape in [(3,), (2, 1), (1, 2)]:
+            with pytest.raises(ValueError, match="expected one power per generator"):
+                implied_prices(np.ones(shape), table1, "original")
 
 
 class TestBruteForceReference:

@@ -25,10 +25,11 @@ from cemasim import (
     WeightMatrices,
     implied_prices,
     kkt_check,
+    mismatch,
     objective_value,
     solve_centralized,
 )
-from cemasim.best_response import VARIANTS, variant_pair
+from cemasim.best_response import VARIANTS, get_variant
 from cemasim.oracle import ACTIVE_BOUND_TOL, CERTIFY_TOL
 from cemasim.presets import random_scenario
 from test_best_response import _bits, _stacked, _valid_consumer, _valid_generator
@@ -134,7 +135,7 @@ def _check_view_loop(scenario, P):
 
 
 def _implied_prices_loop(P_gen, scenario, variant):
-    _, price = variant_pair(variant)
+    price = get_variant(variant).implied_price
     return np.array([price(g, x) for g, x in zip(scenario.generators, P_gen.tolist())])
 
 
@@ -211,12 +212,17 @@ class TestAgainstPerNodeLoops:
                 np.asarray(want[f.name]).tobytes(), f.name
         assert report.certified
 
-    @pytest.mark.parametrize("size", [0, 3, 5])
-    def test_wrong_power_count_rejected(self, table1, size):
+    @pytest.mark.parametrize("P", [np.ones(0), np.ones(3), np.ones(5), 100.0, [100.0],
+                                   np.ones((4, 1))],
+                             ids=["0", "3", "5", "()", "(1,)", "(4, 1)"])
+    def test_wrong_power_count_rejected(self, table1, P):
+        # one node-power shape rule: no other shape broadcasts into a result
         with pytest.raises(ValueError, match="expected 4 node powers"):
-            kkt_check(np.ones(size), 1.0, table1)
+            kkt_check(P, 1.0, table1)
         with pytest.raises(ValueError, match="expected 4 node powers"):
-            objective_value(table1, np.ones(size))
+            objective_value(table1, P)
+        with pytest.raises(ValueError, match="expected 4 node powers"):
+            mismatch(P, table1)
 
 
 @st.composite

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cemasim import engine, lambda_init, table1_scenario
+from cemasim.best_response import VARIANTS
 from cemasim.engine import (
     SURPLUS_DIVERGENCE_LIMIT,
     TERMINATED_BY_MAX_ITERS,
@@ -78,7 +79,7 @@ def _consumer_response(p: ConsumerParams, lam: float) -> float:
     return _clip((p.w - lam) / (2.0 * p.alpha), p.p_min, p.p_max)
 
 
-# the names the loop reads off cemasim.best_response
+# the names the replaced loop read off cemasim.best_response
 best_response = types.SimpleNamespace(
     variant_pair=lambda variant: {
         "original": (_generator_response_original,),
@@ -287,18 +288,18 @@ def _cases(draw):
     scenario = dataclasses.replace(scenario, max_iters=draw(st.integers(1, 250)),
                                    **({"eta": 0.9} if unstable else {}))
     how = draw(st.sampled_from(FORCED))
-    return (scenario, draw(st.sampled_from(engine.VARIANTS)), draw(st.sampled_from(SINKS)),
+    return (scenario, draw(st.sampled_from(VARIANTS)), draw(st.sampled_from(SINKS)),
             how, draw(st.integers(1, 40)), unstable)
 
 
 class TestRunMatchesTheReplacedLoop:
     @pytest.mark.parametrize("stride", SINKS)
-    @pytest.mark.parametrize("variant", engine.VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_table1_to_tolerance(self, variant, stride):
         assert _compare(table1_scenario(), variant, stride)[0] == TERMINATED_BY_TOLERANCE
 
     @pytest.mark.parametrize("how", FORCED[1:])
-    @pytest.mark.parametrize("variant", engine.VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_table1_forced_prices(self, variant, how):
         ended = _compare(dataclasses.replace(table1_scenario(), max_iters=40), variant, 1, how, 5)
         assert ended == ((TERMINATED_DIVERGED, 5) if how in NON_FINITE + FORCED_XI
@@ -323,7 +324,7 @@ class TestRunMatchesTheReplacedLoop:
 
     def test_table1_capped_at_an_unstable_gain(self):
         s = dataclasses.replace(table1_scenario(), eta=0.9, max_iters=300)
-        for variant in engine.VARIANTS:
+        for variant in VARIANTS:
             for stride in SINKS:
                 assert _compare(s, variant, stride)[0] in (TERMINATED_BY_MAX_ITERS,
                                                            TERMINATED_DIVERGED)
@@ -342,7 +343,7 @@ class TestRunMatchesTheReplacedLoop:
                 seen.add(("forced", how))
 
         check()
-        want = {*(("variant", v) for v in engine.VARIANTS), *(("sink", s) for s in SINKS),
+        want = {*(("variant", v) for v in VARIANTS), *(("sink", s) for s in SINKS),
                         *(("forced", how) for how in FORCED), ("unstable", True),
                         ("unstable", False), ("ended", TERMINATED_BY_MAX_ITERS),
                         ("ended", TERMINATED_DIVERGED)}

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cemasim import engine, save_scenario, solve_centralized, verdict
+from cemasim import best_response, engine, save_scenario, solve_centralized, verdict
 from cemasim.cli import main
 from cemasim.oracle import ACTIVE_BOUND_TOL
 from cemasim.presets import random_scenario, table1_scenario
@@ -33,7 +33,7 @@ def test_run_summary_is_the_cli_report(scenario, tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--variant", "both",
                  "--output-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    for variant in engine.VARIANTS:
+    for variant in best_response.VARIANTS:
         text = json_text(verdict.run_summary(scenario, engine.run(scenario, variant)))
         assert text == (tmp_path / "out" / f"report_{variant}.json").read_text()
 
