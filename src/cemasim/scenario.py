@@ -187,21 +187,27 @@ class Digraph:
         return [i for i in range(self.n) if i not in loops]
 
     def is_strongly_connected(self) -> bool:
-        fwd = {u: [] for u in range(self.n)}
-        bwd = {u: [] for u in range(self.n)}
+        """Whether node 0 reaches every node and every node reaches node 0:
+        one search over the out-neighbour lists and one over the in-neighbour
+        lists, both indexed by node and built in one pass over the edges."""
+        n = self.n
+        fwd = [[] for _ in range(n)]
+        bwd = [[] for _ in range(n)]
         for u, v in self.edges:
             fwd[u].append(v)
             bwd[v].append(u)
         for adj in (fwd, bwd):
-            seen = {0}
+            seen = [False] * n
+            seen[0] = True
             stack = [0]
+            reached = 1
             while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
+                for v in adj[stack.pop()]:
+                    if not seen[v]:
+                        seen[v] = True
+                        reached += 1
                         stack.append(v)
-            if len(seen) < self.n:
+            if reached < n:
                 return False
         return True
 
@@ -222,6 +228,24 @@ def real_array(values, name: str, ndim: int) -> np.ndarray:
     if bad:
         raise ValueError(f"{name} has non-numeric entries of type {', '.join(sorted(bad))}")
     return np.array(values, dtype=float)
+
+
+def _literal_free_matrix(rows):
+    """`rows`, parsed from JSON text that holds no true, false or null
+    (`_json_scan`), as the 2-D float array numpy infers from them; `rows` as
+    given where numpy infers another dtype or shape, or builds none.
+
+    The array proves `is_real` of every entry, so real_array needs no pass
+    over their types: a parsed value is an int, a float, a string, a list, a
+    dict, a bool or None, and without the last two only ints and floats make
+    float64 entries (a string gives a str dtype, a dict or an int past the
+    64-bit range object, a list another shape or a ValueError). Each entry
+    converts as np.array(rows, dtype=float) converts it."""
+    try:
+        arr = np.array(rows)
+    except ValueError:
+        return rows
+    return arr if arr.ndim == 2 and arr.dtype == np.float64 else rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,23 +613,51 @@ def save_scenario(s: Scenario, path) -> None:
 
 
 MAX_JSON_DEPTH = 1024
-# every byte but the quote and the brackets of arrays and objects
-_NOT_STRUCTURE = bytes(b for b in range(256) if b not in b'"[]{}')
-# a string once only quotes and brackets are left; one left open runs to the end
+# every byte but the quote, the brackets of arrays and objects, the letters
+# t, f and n of true, false and null, and the I that starts Infinity, whose
+# n, f, n and t are left as "Infnt"
+_NOT_SCANNED = bytes(b for b in range(256) if b not in b'"[]{}tfnI')
+# a string once only the bytes above are left; one left open runs to the end
 _STRING = re.compile(rb'"[^"]*"?')
 _STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
 
 
-def _json_depth(data: bytes) -> int:
-    """How deeply arrays and objects nest in the JSON text `data`, brackets
-    inside strings not counted. On invalid text it is at least the depth a
-    parser reaches before it stops, which reads the same tokens up to there."""
+def _json_scan(data: bytes) -> tuple:
+    """(depth, literal_free) of the JSON text `data`: how deeply arrays and
+    objects nest, and whether no true, false or null stands outside a string.
+    Brackets and letters inside strings are not counted. On invalid text the
+    depth is at least the depth a parser reaches before it stops, which reads
+    the same tokens up to there; literal_free is exact on every text that
+    read_json reads, where only these literals, NaN and Infinity hold letters
+    outside strings."""
     if b"\\" in data:
         # escaped backslashes go first, then escaped quotes: the quotes left
         # open and close strings
         data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
-    brackets = _STRING.sub(b"", data.translate(None, _NOT_STRUCTURE))
-    return max(accumulate(map(_STEP.__getitem__, brackets), initial=0))
+    kept = _STRING.sub(b"", data.translate(None, _NOT_SCANNED))
+    depth = max(accumulate(map(_STEP.__getitem__, kept.translate(None, b"tfnI")), initial=0))
+    letters = kept.translate(None, b"[]{}")
+    if b"I" in letters:
+        letters = letters.replace(b"Infnt", b"")
+    return depth, not letters
+
+
+def _read_json(path) -> tuple:
+    """read_json's value of file `path`, and whether its text holds no true,
+    false or null (`_json_scan`), from the one scan before the parse."""
+    with open(path, "rb") as f:
+        data = f.read()
+    depth, literal_free = _json_scan(data)
+    if depth > MAX_JSON_DEPTH:
+        raise ValueError("JSON nesting too deep to read")
+    try:
+        return orjson.loads(data), literal_free
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(data.decode("utf-8")), literal_free
+    except RecursionError:
+        raise ValueError("JSON nesting too deep to read") from None
 
 
 def read_json(path):
@@ -621,18 +673,7 @@ def read_json(path):
     and overflows the native stack), as does nesting too deep for the
     standard library's recursion limit.
     """
-    with open(path, "rb") as f:
-        data = f.read()
-    if _json_depth(data) > MAX_JSON_DEPTH:
-        raise ValueError("JSON nesting too deep to read")
-    try:
-        return orjson.loads(data)
-    except orjson.JSONDecodeError:
-        pass
-    try:
-        return json.loads(data.decode("utf-8"))
-    except RecursionError:
-        raise ValueError("JSON nesting too deep to read") from None
+    return _read_json(path)[0]
 
 
 # gc.disable() acts on the whole process. The lock makes a load's read of the
@@ -650,7 +691,15 @@ def load_scenario(path) -> Scenario:
         was_on = gc.isenabled()
         gc.disable()
     try:
-        return scenario_from_dict(read_json(path))
+        d, literal_free = _read_json(path)
+        # without true, false or null in the text, dense W and Q rows convert
+        # in one numpy pass that also proves their entries real
+        weights = d.get("weights") if literal_free and isinstance(d, dict) else None
+        if isinstance(weights, dict):
+            for name in ("W", "Q"):
+                if name in weights:
+                    weights[name] = _literal_free_matrix(weights[name])
+        return scenario_from_dict(d)
     finally:
         if was_on:
             with _collector_lock:

@@ -1,6 +1,8 @@
 """Shared fixtures and the independent numeric minimizer used as test oracle."""
 
 import math
+import struct
+from dataclasses import fields
 
 import pytest
 
@@ -89,6 +91,14 @@ def reference_csv(scenario, records) -> tuple:
         rounds.append(b"%d,%.17g,%.17g,%.17g\r\n"
                       % (rec.k, rec.mismatch, rec.lambda_spread, rec.max_abs_xi))
     return b"".join(trace), b"".join(rounds)
+
+
+def scenario_bits(s) -> tuple:
+    """Every number of a scenario with its type and exact bits."""
+    params = [getattr(p, f.name) for p in s.generators + s.consumers for f in fields(p)]
+    scalars = params + [s.graph.n, s.eta, s.eps_m, s.eps_l, s.max_iters]
+    return ([(type(x), struct.pack("<d", x) if isinstance(x, float) else x) for x in scalars],
+            s.graph.edges, s.graph.node_kind, s.weights.W.tobytes(), s.weights.Q.tobytes())
 
 
 @pytest.fixture(scope="session")

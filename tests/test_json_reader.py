@@ -5,17 +5,17 @@ import importlib.util
 import json
 import math
 import struct
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemasim import load_scenario, presets, scenario_from_dict, scenario_to_dict
-from cemasim.scenario import MAX_JSON_DEPTH, _json_depth, json_text, read_json, save_scenario
+from cemasim.scenario import MAX_JSON_DEPTH, _json_scan, json_text, read_json, save_scenario
 from cemasim.scenario import validate_scenario
+from conftest import scenario_bits
 
 ROOT = Path(__file__).resolve().parent.parent
 INT64_MIN, UINT64_END = -(2 ** 63), 2 ** 64
@@ -39,6 +39,19 @@ def _canon(x):
     if isinstance(x, list):
         return (list, [_canon(v) for v in x])
     return (dict, [(k, _canon(v)) for k, v in x.items()])
+
+
+def _holds_literal(text):
+    """Whether json.loads reads True, False or None anywhere in `text`, the
+    values of keys that a later duplicate replaces included."""
+    stack = [json.loads(text, object_pairs_hook=lambda pairs: [v for _, v in pairs])]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, bool) or x is None:
+            return True
+        if isinstance(x, list):
+            stack.extend(x)
+    return False
 
 
 def _ints():
@@ -98,6 +111,8 @@ def json_file(tmp_path_factory):
 class TestSameValuesAsTheStandardLibrary:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(text=_documents, pad=_ws)
+    @example(text='["true", {"f": "\\"null"}, Infinity, -0]', pad=" ")
+    @example(text='{"a": false, "a": -Infinity}', pad="")
     def test_read_json_equals_json_loads(self, json_file, text, pad):
         text = pad + text + pad
         json_file.write_bytes(text.encode("utf-8"))
@@ -106,7 +121,10 @@ class TestSameValuesAsTheStandardLibrary:
         except (ValueError, RecursionError):
             # ValueError: an int literal of more than 4300 digits
             return
-        if _json_depth(text.encode("utf-8")) > MAX_JSON_DEPTH:
+        depth, literal_free = _json_scan(text.encode("utf-8"))
+        # the scan finds a true, false or null exactly where the text holds one
+        assert literal_free == (not _holds_literal(text))
+        if depth > MAX_JSON_DEPTH:
             # only where the recursion limit lets json read that deep
             with pytest.raises(ValueError, match="nesting too deep"):
                 read_json(json_file)
@@ -218,16 +236,36 @@ class TestNestingLimit:
         else:
             assert _nested_depth(got) == MAX_JSON_DEPTH
 
-    @pytest.mark.parametrize("text, depth", [
-        ('["' + "[" * 1_000_000 + '"]', 1),
-        ('["\\"' + "[" * 1_000_000 + '"]', 1),
-        ('[{"k]}": "\\\\", "v": [["\\u005d"]]}]', 4),
-        ('["\\\\", ' + "[" * 3 + "]" * 4, 4),
-        ('"\\n"', 0),
-    ], ids=["in-a-string", "after-an-escaped-quote", "escapes", "after-an-escaped-backslash", "no-array"])
-    def test_brackets_in_strings_do_not_count(self, text, depth):
-        assert _json_depth(text.encode()) == depth
-        assert _json_depth(text.encode()) == _json_depth(json.dumps(json.loads(text)).encode())
+    # (text, depth, literal_free): brackets and the letters of true, false
+    # and null count only outside strings
+    @pytest.mark.parametrize("text, depth, literal_free", [
+        ('["' + "[" * 1_000_000 + '"]', 1, True),
+        ('["\\"' + "[" * 1_000_000 + '"]', 1, True),
+        ('[{"k]}": "\\\\", "v": [["\\u005d"]]}]', 4, True),
+        ('["\\\\", ' + "[" * 3 + "]" * 4, 4, True),
+        ('"\\n"', 0, True),
+        ('{"true": "null", "f": ["false", "tfn"]}', 2, True),
+        ('["\\"true", "\\"f\\"", "n\\"null"]', 1, True),
+        ('["\\"", true]', 1, False),
+        ('["\\\\", null]', 1, False),
+        ('["\\\\"]', 1, True),
+        ('{"a": ["x\\\\"], "b": false}', 2, False),
+        ("[NaN, Infinity, -Infinity]", 1, True),
+        ('{"Infinity": -Infinity, "NaN": NaN}', 1, True),
+        ("[Infinity, true]", 1, False),
+        ("[null, Infinity]", 1, False),
+        ("[null, false, null, true]", 1, False),
+        ('[1.5e3, -0, "e"]', 1, True),
+    ], ids=["in-a-string", "after-an-escaped-quote", "escapes", "after-an-escaped-backslash",
+            "no-array", "letters-in-strings", "escaped-quote-before-a-letter",
+            "escaped-quote-then-true", "escaped-backslash-before-a-closing-quote-then-null",
+            "escaped-backslash-before-a-closing-quote", "escaped-backslash-then-false",
+            "nan-and-infinity", "infinity-in-keys-and-values", "infinity-then-true",
+            "null-then-infinity", "literals-that-spell-nfnt", "exponent-and-minus"])
+    def test_brackets_in_strings_do_not_count(self, text, depth, literal_free):
+        assert _json_scan(text.encode()) == (depth, literal_free)
+        assert _json_scan(text.encode()) == _json_scan(json.dumps(json.loads(text)).encode())
+        assert literal_free == (not _holds_literal(text))
 
 
 def _bench_inputs():
@@ -235,14 +273,6 @@ def _bench_inputs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _bits(s):
-    """Every number of a scenario with its type and exact bits."""
-    params = [getattr(p, f.name) for p in s.generators + s.consumers for f in fields(p)]
-    scalars = params + [s.graph.n, s.eta, s.eps_m, s.eps_l, s.max_iters]
-    return ([(type(x), struct.pack("<d", x) if isinstance(x, float) else x) for x in scalars],
-            s.graph.edges, s.graph.node_kind, s.weights.W.tobytes(), s.weights.Q.tobytes())
 
 
 def _written_scenarios(directory):
@@ -266,4 +296,4 @@ def _written_scenarios(directory):
 def test_every_preset_and_bench_scenario_loads_the_same_bits(tmp_path):
     for path in _written_scenarios(tmp_path):
         stdlib = scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
-        assert _bits(load_scenario(path)) == _bits(stdlib), path.name
+        assert scenario_bits(load_scenario(path)) == scenario_bits(stdlib), path.name

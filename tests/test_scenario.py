@@ -599,14 +599,17 @@ class TestCollectorPausedWhileLoading:
         path = tmp_path / "s.json"
         save_scenario(table1, path)
         seen = []
-        for name in ("read_json", "scenario_from_dict"):
-            def spy(arg, _fn=getattr(scenario_module, name)):
-                seen.append(gc.isenabled())
+        for name in ("_read_json", "_literal_free_matrix", "scenario_from_dict"):
+            def spy(arg, _fn=getattr(scenario_module, name), _name=name):
+                seen.append((_name, gc.isenabled()))
                 return _fn(arg)
             monkeypatch.setattr(scenario_module, name, spy)
         gc.enable()
         load_scenario(path)
-        assert seen == [False, False] and gc.isenabled()
+        # the read, the one numpy pass over each of W and Q, the conversion
+        assert seen == [("_read_json", False), ("_literal_free_matrix", False),
+                        ("_literal_free_matrix", False), ("scenario_from_dict", False)]
+        assert gc.isenabled()
 
     @pytest.mark.parametrize("collector_on", [True, False])
     def test_many_threads_leave_the_setting(self, table1, tmp_path, collector_setting, collector_on):
