@@ -21,7 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .best_response import (
+    _require_price,
+    consumer_response,
     consumer_response_array,
+    generator_response_corrected,
     generator_response_corrected_array,
     get_variant,
 )
@@ -34,6 +37,11 @@ MAX_BRACKET_DOUBLINGS = 60
 MAX_BISECT_ITERS = 200
 GRID_CHUNK_POINTS = 2**14  # most brute-force grid points evaluated at once
 GRID_POINT_BUDGET = 10**8  # most brute-force grid points searched in one call
+# g(lam) goes through the array forms from this many nodes on, and below it
+# through one Python pass over the scalar forms: the crossover of a measured
+# solve_centralized sweep (README, "One agent view"; BENCH_32.json)
+ARRAY_BALANCE_MIN_NODES = 52
+_EPS = float(np.finfo(float).eps)
 
 
 class InfeasibleScenarioError(ValueError):
@@ -48,7 +56,7 @@ def _ordered_sum(x: np.ndarray) -> float:
     """0.0 + x[0] + x[1] + ..., left to right as a loop adds: np.sum's
     pairwise order would move the last bits. Adding 0.0 last turns a sum of
     -0.0s into 0.0, as starting from 0.0 does."""
-    return float(np.cumsum(x)[-1]) + 0.0 if x.size else 0.0
+    return float(x.cumsum()[-1]) + 0.0 if x.size else 0.0
 
 
 def objective_value(scenario: Scenario, P: np.ndarray) -> float:
@@ -68,8 +76,24 @@ def _responses(scenario: Scenario, lam: float) -> np.ndarray:
 
 
 def _balance(scenario: Scenario, lam: float) -> float:
+    """g(lam) at one price lam >= 0, the corrected problem's balance.
+
+    Below ARRAY_BALANCE_MIN_NODES numpy's per-call cost outweighs the
+    arithmetic, so the terms come from the scalar forms in one node-order
+    pass instead of the array forms: the same terms, added left to right
+    from 0.0, which is _ordered_sum's order. A sum started at 0.0 is never
+    -0.0, so the pass needs no _ordered_sum's + 0.0. The same bits."""
     agents = scenario.agents
-    return _ordered_sum(-agents.sign * agents.net(_responses(scenario, lam)))
+    if len(agents.params) >= ARRAY_BALANCE_MIN_NODES:
+        return _ordered_sum(-agents.sign * agents.net(_responses(scenario, lam)))
+    _require_price(lam)
+    total = 0.0
+    for p in agents.params:
+        if isinstance(p, GeneratorParams):
+            total += p.net(generator_response_corrected(p, lam))
+        else:
+            total -= consumer_response(p, lam)
+    return total
 
 
 def check_feasibility_condition(scenario: Scenario) -> tuple:
@@ -154,7 +178,7 @@ def solve_centralized(scenario: Scenario) -> CentralSolution:
             iterations += 1
             if abs(g_hi) <= tol and (hi - lo) <= tol * max(1.0, hi):
                 break
-            if hi - lo <= np.finfo(float).eps * max(1.0, hi):
+            if hi - lo <= _EPS * max(1.0, hi):
                 break
         else:
             raise BracketError("bisection failed to reach the requested tolerance")
@@ -296,10 +320,8 @@ def implied_prices(P_gen, scenario: Scenario, variant: str) -> np.ndarray:
     the original values generally cannot, which is the contradiction this
     toolkit reproduces.
     """
-    P_gen = np.asarray(P_gen, dtype=float)
-    if P_gen.shape != (len(scenario.generators),):
-        raise ValueError("expected one power per generator")
-    return get_variant(variant).implied_price(scenario.agents.by_kind[0][1], P_gen)
+    agents = scenario.agents
+    return get_variant(variant).implied_price(agents.by_kind[0][1], agents.generator_powers(P_gen))
 
 
 # ---------------------------------------------------------------------------

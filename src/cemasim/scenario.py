@@ -296,6 +296,15 @@ class AgentView:
             raise ValueError(f"expected {len(self.params)} node powers, got shape {P.shape}")
         return P
 
+    def generator_powers(self, P_gen) -> np.ndarray:
+        """P_gen as a float array of one power per generator, in `by_kind`
+        order, the shape every per-generator power input must have; raises
+        ValueError otherwise."""
+        P_gen = np.asarray(P_gen, dtype=float)
+        if P_gen.shape != self.by_kind[0][0].shape:
+            raise ValueError("expected one power per generator")
+        return P_gen
+
     def node_order(self, gen_values, con_values) -> np.ndarray:
         """One node-order array from its values at the generators and at the
         consumers, each in `by_kind` order (a number fills its whole kind)."""

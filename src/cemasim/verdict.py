@@ -22,8 +22,10 @@ CORRECTED_RESIDUAL_MAX = 1e-4
 
 
 def interior(scenario: Scenario, P_gen: np.ndarray) -> np.ndarray:
-    """Whether each generator's power is inside its box by more than ACTIVE_BOUND_TOL."""
-    gens, tol = scenario.agents.by_kind[0][1], oracle.ACTIVE_BOUND_TOL
+    """Whether each generator's power is inside its box by more than
+    ACTIVE_BOUND_TOL; P_gen holds one power per generator."""
+    agents, tol = scenario.agents, oracle.ACTIVE_BOUND_TOL
+    gens, P_gen = agents.by_kind[0][1], agents.generator_powers(P_gen)
     return (gens.p_min + tol < P_gen) & (P_gen < gens.p_max - tol)
 
 

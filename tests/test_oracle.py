@@ -166,6 +166,9 @@ class TestArrayFormBisection:
         (0, 100, 100), (1, 100, 100),
     ])
     def test_same_bits_as_scalar_bisection(self, monkeypatch, seed, n_gen, n_con):
+        # g(lam) through _responses at every size, so that the array forms
+        # price every bisection step here
+        monkeypatch.setattr(oracle, "ARRAY_BALANCE_MIN_NODES", 0)
         s = random_scenario(seed, n_gen, n_con)
         got = solve_centralized(s)
         with monkeypatch.context() as m:

@@ -104,3 +104,12 @@ def test_interior_at_the_edges_of_the_tolerance():
     assert verdict.interior(scenario, np.nextafter(inner, [np.inf, -np.inf])).tolist() == [
         True, True]
     assert verdict.interior(scenario, np.array([np.nan, np.inf])).tolist() == [False, False]
+
+
+@pytest.mark.parametrize("P_gen", [100.0, np.full((2, 1), 100.0), np.full(3, 100.0)],
+                         ids=["scalar", "column", "three"])
+def test_interior_takes_one_power_per_generator(P_gen):
+    # table1 has two generators: a scalar or a column would broadcast into
+    # a verdict for both, so each must be rejected, as implied_prices does
+    with pytest.raises(ValueError, match="expected one power per generator"):
+        verdict.interior(table1_scenario(), P_gen)
