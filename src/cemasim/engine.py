@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import best_response
+from .best_response import consumer_response
 from .scenario import GeneratorParams, Scenario, is_integer, validate_scenario
 
 TERMINATED_BY_TOLERANCE = "by-tolerance"
@@ -94,18 +95,13 @@ def lambda_step(lam: np.ndarray, xi: np.ndarray, W: np.ndarray, eta: float) -> n
 def power_step(scenario: Scenario, generator_response, new_lambdas) -> np.ndarray:
     """Node-order best responses, node i to its mixed price new_lambdas[i].
 
-    new_lambdas is a float array or the list of its floats, which `run`
+    new_lambdas is the list of the price vector's floats, which `run`
     already holds. Scalar closed forms on purpose: at a handful of nodes
     numpy's per-call overhead costs more than the arithmetic it would
     vectorize. A generator is told by the type of its parameters: an
     identity test on the graph's node kinds measured slower at 4 nodes,
     because it zips a third iterable and reads an enum member per call.
     """
-    if isinstance(new_lambdas, np.ndarray):
-        new_lambdas = new_lambdas.tolist()
-    # read off the module per call, so a consumer_response rebound there
-    # (bench/spans.py counts calls that way) is the one called
-    consumer_response = best_response.consumer_response
     return np.array([
         generator_response(p, x) if isinstance(p, GeneratorParams) else consumer_response(p, x)
         for p, x in zip(scenario.agents.params, new_lambdas, strict=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .best_response import (
     generator_response_corrected_array,
     get_variant,
 )
-from .scenario import GeneratorParams, Scenario, is_real
+from .scenario import GeneratorParams, Scenario, _finite, is_real
 
 DEFAULT_SOLVE_TOL = 1e-9
 CERTIFY_TOL = 1e-6  # largest KKT residual that certifies a candidate
@@ -85,7 +85,10 @@ def _balance(scenario: Scenario, lam: float) -> float:
     -0.0, so the pass needs no _ordered_sum's + 0.0. The same bits."""
     agents = scenario.agents
     if len(agents.params) >= ARRAY_BALANCE_MIN_NODES:
-        return _ordered_sum(-agents.sign * agents.net(_responses(scenario, lam)))
+        # a quotient past float range is +-inf, clipped into the box, as the
+        # scalar forms' float arithmetic gives it without a warning
+        with np.errstate(over="ignore"):
+            return _ordered_sum(-agents.sign * agents.net(_responses(scenario, lam)))
     _require_price(lam)
     total = 0.0
     for p in agents.params:
@@ -219,7 +222,7 @@ class KktReport:
     upper_slack: np.ndarray
     max_residual: float
     certified: bool
-    tol: float = field(default=0.0)
+    tol: float
 
     def to_dict(self) -> dict:
         return {
@@ -259,7 +262,10 @@ def kkt_check(P: np.ndarray, lam: float, scenario: Scenario,
     P = scenario.agents.node_powers(P)
     if not is_real(lam):  # float() would take "1e-3", True and Fraction(1)
         raise ValueError(f"lambda {lam!r} is not a number")
-    lam = float(lam)
+    try:
+        lam = float(lam)
+    except OverflowError:  # an int past float range
+        lam = math.inf if lam > 0 else -math.inf
     agents = scenario.agents
     (gen_nodes, gens), (con_nodes, cons) = agents.by_kind
     P_gen, P_con = P[gen_nodes], P[con_nodes]
@@ -451,7 +457,7 @@ def brute_force_reference(scenario: Scenario, grid_step: float) -> BruteForceRes
     """
     if not (1 <= len(scenario.generators) <= 3):
         raise ValueError("brute force supports 1 to 3 generators")
-    if not (is_real(grid_step) and math.isfinite(grid_step) and grid_step > 0):
+    if not (_finite(grid_step) and grid_step > 0):
         raise ValueError("grid_step must be a positive finite number")
     grid_step = float(grid_step)
     gens = scenario.generators

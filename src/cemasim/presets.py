@@ -28,12 +28,7 @@ TABLE1_REFERENCE_DISPATCH = (81.98, 124.80)
 TABLE1_ETA = 0.002
 
 
-def table1_scenario(
-    eta: float = TABLE1_ETA,
-    eps_m: float = 1e-8,
-    eps_l: float = 1e-8,
-    max_iters: int = 200000,
-) -> Scenario:
+def table1_scenario() -> Scenario:
     """The two-generator / two-consumer benchmark on the default 4-node ring."""
     generators = (
         GeneratorParams(a=0.0024, b=5.56, c=30.0, B=0.00021, p_min=60.0, p_max=339.69),
@@ -49,10 +44,10 @@ def table1_scenario(
         consumers=consumers,
         graph=graph,
         weights=build_uniform_weights(graph),
-        eta=eta,
-        eps_m=eps_m,
-        eps_l=eps_l,
-        max_iters=max_iters,
+        eta=TABLE1_ETA,
+        eps_m=1e-8,
+        eps_l=1e-8,
+        max_iters=200000,
     )
 
 

@@ -651,6 +651,14 @@ def _json_scan(data: bytes) -> tuple:
     return depth, not letters
 
 
+def _json_int(literal: str):
+    """An integer literal by orjson's rule: an int within [-2**63, 2**64),
+    otherwise the float it rounds to, which is +-inf past float range, where
+    orjson rejects the text."""
+    i = int(literal)
+    return i if -(2 ** 63) <= i < 2 ** 64 else float(literal)
+
+
 def _read_json(path) -> tuple:
     """read_json's value of file `path`, and whether its text holds no true,
     false or null (`_json_scan`), from the one scan before the parse."""
@@ -664,7 +672,7 @@ def _read_json(path) -> tuple:
     except orjson.JSONDecodeError:
         pass
     try:
-        return json.loads(data.decode("utf-8")), literal_free
+        return json.loads(data.decode("utf-8"), parse_int=_json_int), literal_free
     except RecursionError:
         raise ValueError("JSON nesting too deep to read") from None
 
@@ -675,8 +683,8 @@ def read_json(path):
     orjson parses the bytes. Only a text orjson rejects is parsed again by the
     standard library, which also reads what json_text writes for NaN and
     +-inf, numbers past float range (as +-inf) and lone surrogates, and which
-    raises the error a reader sees. orjson reads an integer outside
-    [-2**63, 2**64) as a float, where the standard library gives an int.
+    raises the error a reader sees. Both read an integer literal outside
+    [-2**63, 2**64) as the float it rounds to, +-inf past float range.
     Arrays and objects nested deeper than MAX_JSON_DEPTH raise ValueError
     before either parser runs (orjson before 3.9.15 recurses without a limit
     and overflows the native stack), as does nesting too deep for the

@@ -18,6 +18,7 @@ weakened, so they fail honestly:
   the same claims hold with wide margin (the companion test).
 """
 
+import dataclasses
 import filecmp
 import time
 
@@ -68,7 +69,7 @@ def table1_runs(table1):
 
 @pytest.fixture(scope="module")
 def gain_005_run(table1):
-    hot = table1_scenario(eta=0.05)
+    hot = dataclasses.replace(table1_scenario(), eta=0.05)
     return run(hot, "corrected", trace_stride=2000)
 
 

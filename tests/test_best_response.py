@@ -290,15 +290,15 @@ class TestVariantRecord:
 
 class TestResponsesLoop:
     def test_matches_scalar_closed_forms_per_node(self, table1):
-        lam = np.array([-3.0, 6.1745, 0.0, 12.5])
+        lam = [-3.0, 6.1745, 0.0, 12.5]
         for gen_resp in (generator_response_original, generator_response_corrected):
             want = [gen_resp(p, x) if isinstance(p, GeneratorParams) else consumer_response(p, x)
-                    for p, x in zip(table1.agents.params, lam.tolist())]
+                    for p, x in zip(table1.agents.params, lam)]
             np.testing.assert_array_equal(power_step(table1, gen_resp, lam), want)
 
     def test_rejects_wrong_price_count(self, table1):
         with pytest.raises(ValueError):
-            power_step(table1, generator_response_corrected, np.array([1.0, 2.0]))
+            power_step(table1, generator_response_corrected, [1.0, 2.0])
 
 
 @st.composite

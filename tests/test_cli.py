@@ -35,7 +35,7 @@ from cemasim import (
     scenario_to_dict,
     validate_scenario,
 )
-from cemasim import cli
+from cemasim import cli, oracle
 from cemasim.cli import main
 from cemasim.presets import random_scenario, ring_digraph, table1_scenario
 from cemasim.scenario import MAX_JSON_DEPTH
@@ -403,6 +403,37 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert err and all(line.startswith("invalid scenario: node=") for line in err)
 
+    @pytest.mark.parametrize("where", ["eta", "W"])
+    def test_integer_past_float_range_is_an_invalid_scenario(self, tmp_path, capsys, where):
+        # the literal reads as inf, as 1e400 does: a violation, not a traceback
+        d = scenario_to_dict(table1_scenario())
+        if where == "eta":
+            d["eta"] = "@"
+        else:
+            d["weights"]["W"][0][0] = "@"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(d).replace('"@"', "1" + "0" * 400))
+        assert main(["solve", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if where == "eta":
+            assert err.splitlines() == [
+                "invalid scenario: node=-1 rule=scenario.eta: eta = inf must satisfy 0 < eta < 1"]
+        else:
+            assert "rule=weights.finite: W has non-finite entries" in err
+            assert all(line.startswith("invalid scenario: node=") for line in err.splitlines())
+
+    def test_bisection_failure_exits_two(self, table1_file, capsys, monkeypatch):
+        # a balance below zero at every price cannot be bracketed
+        monkeypatch.setattr(oracle, "_balance", lambda scenario, lam: -1.0)
+        with pytest.raises(oracle.BracketError) as info:
+            oracle.solve_centralized(load_scenario(table1_file))
+        assert str(info.value).startswith("could not bracket the balance price; g(")
+        assert main(["solve", "--scenario", table1_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"bisection failure: {info.value}"]
+        assert captured.out == ""
+
     def test_tol_option_removed(self, table1_file, capsys):
         # solve certifies at a fixed 1e-6, so a bisection tolerance set from
         # the command line could only break it
@@ -675,6 +706,27 @@ class TestKktCommand:
         assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key", ["lambda", "P"])
+    def test_integer_past_float_range_is_a_residual(self, table1_file, tmp_path, capsys, key):
+        # the literal reads as inf: the report carries the residual it makes
+        # (exit 2), with nothing on stderr
+        from cemasim import solve_centralized
+
+        sol = solve_centralized(load_scenario(table1_file))
+        content = {"P": sol.P.tolist(), "lambda": sol.lam}
+        if key == "P":
+            content["P"][0] = "@"
+        else:
+            content["lambda"] = "@"
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps(content).replace('"@"', "1" + "0" * 400))
+        assert main(["kkt", "--scenario", table1_file, "--candidate", str(cand)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert report["certified"] is False
+        assert report["lambda"] == (math.inf if key == "lambda" else sol.lam)
+
     def test_generated_malformed_candidates_exit_one(self, table1_file, tmp_path, capsys):
         # every fault of _malformed_candidates is bad input: exit 1, one
         # stderr line naming the candidate or its length, nothing on stdout
@@ -774,7 +826,7 @@ class TestCounterexampleCommand:
         assert "coincide" in report.read_text()
 
     def test_zero_loss_scenario_is_still_validated(self, tmp_path, capsys):
-        d = scenario_to_dict(table1_scenario(eta=5.0))
+        d = scenario_to_dict(dataclasses.replace(table1_scenario(), eta=5.0))
         for g in d["generators"]:
             g["B"] = 0.0
         d["weights"]["W"][0][0] = float("nan")
@@ -789,7 +841,7 @@ class TestCounterexampleCommand:
         assert not report.exists()
 
     def test_non_converging_scenario_exits_two(self, tmp_path):
-        s = table1_scenario(eta=0.9, max_iters=2000)
+        s = dataclasses.replace(table1_scenario(), eta=0.9, max_iters=2000)
         path = tmp_path / "hot.json"
         save_scenario(s, path)
         assert main(["counterexample", "--scenario", str(path)]) == 2

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -95,19 +96,19 @@ class TestPowerStep:
         cons = [ConsumerParams(w=12.0, alpha=0.05, p_min=10.0, p_max=100.0),
                 ConsumerParams(w=9.0, alpha=0.08, p_min=10.0, p_max=80.0)]
         s = _scenario(gens, cons)
-        lams = np.array([4.4, 5.1, 3.2, 6.0])
+        lams = [4.4, 5.1, 3.2, 6.0]
         np.testing.assert_array_equal(
             power_step(s, generator_response_original, lams),
             power_step(s, generator_response_corrected, lams),
         )
 
     def test_lower_clip_both_variants(self, table1):
-        lams = np.full(4, 5.56)
+        lams = [5.56] * 4
         for response in (generator_response_original, generator_response_corrected):
             assert power_step(table1, response, lams)[0] == 60.0
 
     def test_consumers_at_moderate_price(self, table1):
-        out = power_step(table1, generator_response_corrected, np.full(4, 6.2))
+        out = power_step(table1, generator_response_corrected, [6.2] * 4)
         np.testing.assert_array_equal(out[2:], [100.34, 100.0])
 
     def test_unknown_variant(self, table1):
@@ -116,13 +117,13 @@ class TestPowerStep:
 
     def test_dimension_mismatch(self, table1):
         with pytest.raises(ValueError, match="zip.. argument 2 is shorter than argument 1"):
-            power_step(table1, generator_response_corrected, np.zeros(3))
+            power_step(table1, generator_response_corrected, [0.0] * 3)
 
 
 class TestResponseCounts:
     """The counting contract bench/spans.py relies on: a best response rebound
-    on `cemasim.best_response` is the one `run` calls, once per node and
-    round, and the variant is looked up once per run."""
+    in every `cemasim` module that binds it is the one `run` calls, once per
+    node and round, and the variant is looked up once per run."""
 
     @pytest.mark.parametrize("make", [table1_scenario, lambda: random_scenario(1, 8, 8)],
                              ids=["table1", "random-8-8"])
@@ -138,8 +139,16 @@ class TestResponseCounts:
                 return fn(*args)
             return wrapper
 
+        # as bench/spans.py's _rebind does: `from .x import f` binds f in a
+        # second module, which patching `x.f` alone would miss
+        modules = [m for k, m in sys.modules.items() if k == "cemasim" or k.startswith("cemasim.")]
         for name in calls:
-            monkeypatch.setattr(best_response, name, counted(name, getattr(best_response, name)))
+            fn = getattr(best_response, name)
+            wrapper = counted(name, fn)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
         result = run(scenario, variant)
         assert result.terminated == TERMINATED_BY_TOLERANCE
         other = ({"original", "corrected"} - {variant}).pop()
@@ -208,7 +217,7 @@ class TestRoundOneRegression:
         agents = table1.agents
         lam0 = np.array([lambda_init(agents.params[i]) for i in range(4)])
         lam1 = lambda_step(lam0, np.zeros(4), table1.weights.W, table1.eta)
-        P1 = power_step(table1, generator_response_corrected, lam1)
+        P1 = power_step(table1, generator_response_corrected, lam1.tolist())
         # routing from the zero state: Q @ 0 + sign * (net(P1) - net(0))
         xi1 = agents.sign * agents.net(P1)
         _, records = _kept(table1, "corrected")
@@ -438,7 +447,7 @@ class TestGainStabilityDependsOnMixing:
     @pytest.mark.parametrize("eta, terminated, rounds", [
         (0.0035, TERMINATED_BY_TOLERANCE, 680), (0.006, TERMINATED_BY_MAX_ITERS, 20000)])
     def test_bundled_ring(self, eta, terminated, rounds):
-        s = table1_scenario(eta=eta, max_iters=20000)
+        s = dataclasses.replace(table1_scenario(), eta=eta, max_iters=20000)
         result = run(s, "corrected", trace_stride=s.max_iters)
         assert (result.terminated, result.rounds) == (terminated, rounds)
 

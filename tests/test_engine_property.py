@@ -52,7 +52,7 @@ def _reference_run(scenario, variant, trace_stride):
             lam = lam_new
             terminated = TERMINATED_DIVERGED
             break
-        P_new = power_step(scenario, generator_response, lam_new)
+        P_new = power_step(scenario, generator_response, lam_new.tolist())
         net_new = agents.net(P_new)
         xi_new = Q @ xi + sign * (net_new - net)
         mism = float(np.sum(sign * net_new))

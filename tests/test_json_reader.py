@@ -23,15 +23,16 @@ INT64_MIN, UINT64_END = -(2 ** 63), 2 ** 64
 
 def _canon(x):
     """Type and exact value of a parsed JSON value: float bits, int value,
-    key order. An int outside [-2**63, 2**64) that a float can hold canons as
-    that float, the one documented difference (pinned on its own below)."""
+    key order. An int outside [-2**63, 2**64) canons as the float it rounds
+    to, +-inf past float range, the one documented difference (pinned on its
+    own below)."""
     if isinstance(x, bool) or x is None:
         return (type(x), x)
     if isinstance(x, int) and not INT64_MIN <= x < UINT64_END:
         try:
             x = float(x)
         except OverflowError:
-            return (int, x)
+            x = math.inf if x > 0 else -math.inf
     if isinstance(x, float):
         return (float, struct.pack("<d", x))
     if isinstance(x, (int, str)):
@@ -140,8 +141,8 @@ class TestSameValuesAsTheStandardLibrary:
 
 
 class TestIntegerDivergence:
-    """orjson reads an integer outside [-2**63, 2**64) as a float, where the
-    standard library gives an int (README, "Scenario files")."""
+    """read_json reads an integer outside [-2**63, 2**64) as the float it
+    rounds to, where json.loads gives an int (README, "Scenario files")."""
 
     @pytest.mark.parametrize("literal, want", [
         ("18446744073709551615", 18446744073709551615),
@@ -158,9 +159,19 @@ class TestIntegerDivergence:
         got = read_json(json_file)
         assert type(got) is float and got == float(int(literal))
 
-    def test_a_fallback_document_keeps_the_int(self, json_file):
-        json_file.write_text("[18446744073709551616, NaN]")
-        assert type(read_json(json_file)[0]) is int
+    @pytest.mark.parametrize("value", [
+        2 ** 63 - 1, 2 ** 63, UINT64_END - 1, UINT64_END, INT64_MIN - 1, 10 ** 400, -10 ** 400,
+    ], ids=["2**63-1", "2**63", "2**64-1", "2**64", "-2**63-1", "10**400", "-10**400"])
+    def test_a_fallback_document_reads_the_same_value(self, json_file, value):
+        # a NaN makes orjson reject the text, and the standard library reads
+        # every number in it; orjson rejects +-10**400 on its own
+        json_file.write_text(f'{{"x": {value}}}')
+        alone = read_json(json_file)["x"]
+        json_file.write_text(f'{{"x": {value}, "note": NaN}}')
+        beside_nan = read_json(json_file)["x"]
+        # an int within the range, otherwise the float it rounds to
+        want = value if INT64_MIN <= value < UINT64_END else float(str(value))
+        assert (type(alone), alone) == (type(beside_nan), beside_nan) == (type(want), want)
 
     def test_in_a_scenario_file(self, json_file):
         text = json_text(scenario_to_dict(presets.table1_scenario()))
@@ -169,6 +180,11 @@ class TestIntegerDivergence:
         s = load_scenario(json_file)
         assert type(s.max_iters) is float
         assert [v.rule for v in validate_scenario(s)] == ["scenario.max_iters"]
+        # the same reading when a NaN elsewhere in the file sends it to the
+        # standard library
+        json_file.write_text(text.replace('"max_iters": 200000',
+                                          '"max_iters": 18446744073709551616, "note": NaN'))
+        assert [v.rule for v in validate_scenario(load_scenario(json_file))] == ["scenario.max_iters"]
         json_file.write_text(text.replace('"max_iters": 200000', '"max_iters": 9223372036854775807'))
         assert load_scenario(json_file).max_iters == 2 ** 63 - 1
         json_file.write_text(text.replace('"n": 4', '"n": 18446744073709551616'))

@@ -1,6 +1,7 @@
 """Centralized solver, KKT certification, implied prices, brute-force reference."""
 
 import dataclasses
+import math
 import struct
 import time
 
@@ -61,7 +62,7 @@ def _scenario(gens, cons, **kw):
 
 def _scalar_responses(scenario, lam):
     """The per-node scalar loop at one price, the reference for the array form."""
-    return power_step(scenario, generator_response_corrected, np.full(scenario.n_nodes, lam))
+    return power_step(scenario, generator_response_corrected, [lam] * scenario.n_nodes)
 
 
 def _feasibility_by_agent(scenario) -> tuple:
@@ -270,6 +271,74 @@ class TestSolveCentralized:
             assert kkt_check(sol.P, sol.lam, s).max_residual <= 1e-6
 
 
+class TestBisectionPaths:
+    """solve_centralized's bracket and stopping rules, driven by a patched
+    monotone balance g. The scenario's price bound is 0 (marginal cost -8 at
+    the generator's cap, marginal utility 0 at the consumer's floor), so the
+    bracket's upper end starts at 1.0."""
+
+    @pytest.fixture
+    def scenario(self):
+        gen = GeneratorParams(a=0.01, b=-10.0, c=0.0, B=0.0, p_min=0.0, p_max=100.0)
+        con = ConsumerParams(w=10.0, alpha=0.05, p_min=100.0, p_max=150.0)
+        return _scenario([gen], [con])
+
+    @staticmethod
+    def _priced(monkeypatch, g) -> list:
+        """Patches oracle._balance to g; returns the prices it is asked for."""
+        prices = []
+
+        def balance(scenario, lam):
+            prices.append(lam)
+            return g(lam)
+
+        monkeypatch.setattr(oracle, "_balance", balance)
+        return prices
+
+    def test_bracket_from_one_by_doubling(self, scenario, monkeypatch):
+        prices = self._priced(monkeypatch, lambda lam: lam - 3.0)
+        sol = solve_centralized(scenario)
+        # g(0), the start at 1.0 and two doublings, then the bisection
+        assert prices[:4] == [0.0, 1.0, 2.0, 4.0]
+        assert (sol.lam, sol.balance_residual, sol.iterations) == (3.0, 0.0, 31)
+        assert len(prices) == 4 + sol.iterations
+        assert sol.bracket_width <= oracle.DEFAULT_SOLVE_TOL * sol.lam
+
+    def test_could_not_bracket(self, scenario, monkeypatch):
+        prices = self._priced(monkeypatch, lambda lam: -1.0)
+        with pytest.raises(oracle.BracketError) as info:
+            solve_centralized(scenario)
+        assert str(info.value) == f"could not bracket the balance price; g({2.0 ** 61}) < 0"
+        # g(0), then 1.0 and its MAX_BRACKET_DOUBLINGS doublings
+        assert prices == [0.0] + [2.0 ** k for k in range(oracle.MAX_BRACKET_DOUBLINGS + 1)]
+
+    def test_stalls_at_the_epsilon_stop(self, scenario, monkeypatch):
+        # a step of g at 3.0: the bracket closes on it to a relative width of
+        # one machine epsilon with |g(hi)| = 1 left
+        prices = self._priced(monkeypatch, lambda lam: -1.0 if lam < 3.0 else 1.0)
+        with pytest.raises(oracle.BracketError) as info:
+            solve_centralized(scenario)
+        assert str(info.value) == "bisection stalled: |g(lam)| = 1.0 > tol = 1e-09 at lam = 3.0"
+        # 3.0 is the second step's mid; the k-th step after it leaves
+        # lo = 3 - 2**-k, which meets the epsilon stop 3 - lo <= eps*3 at
+        # k = 51, the 53rd step
+        assert prices[4:6] == [2.0, 3.0]
+        assert len(prices) == 4 + 53
+        assert 3.0 - max(p for p in prices if p < 3.0) == 2.0 ** -51
+
+    def test_iteration_cap(self, scenario, monkeypatch):
+        # a consumer whose marginal utility at its floor is 1e60 puts the
+        # bracket's upper end there: about 198 halvings bring it down to g's
+        # root at 3.0, too few of MAX_BISECT_ITERS left to reach the tolerance
+        con = dataclasses.replace(scenario.consumers[0], w=1e60)
+        prices = self._priced(monkeypatch, lambda lam: lam - 3.0)
+        with pytest.raises(oracle.BracketError,
+                           match="^bisection failed to reach the requested tolerance$"):
+            solve_centralized(dataclasses.replace(scenario, consumers=(con,)))
+        assert prices[:2] == [0.0, 1e60]
+        assert len(prices) == 2 + oracle.MAX_BISECT_ITERS
+
+
 class TestKktCheck:
     def test_original_fixed_point_fails_with_loss_residual(self, table1):
         result = run(table1, "original")
@@ -348,6 +417,16 @@ class TestKktCheck:
             P[0] = 1e200
         report = kkt_check(P, lam, table1)
         assert np.array_equal(report.max_residual, residual, equal_nan=True)
+        assert not report.certified
+
+    @pytest.mark.parametrize("lam, read_as", [(10**400, math.inf), (-10**400, -math.inf)],
+                             ids=["10**400", "-10**400"])
+    def test_integer_lambda_past_float_range_reads_as_inf(self, table1, lam, read_as):
+        # the report of the infinite price, residuals and all, not an OverflowError
+        sol = solve_centralized(table1)
+        report = kkt_check(sol.P, lam, table1)
+        assert report.lam == read_as
+        assert repr(report.to_dict()) == repr(kkt_check(sol.P, read_as, table1).to_dict())
         assert not report.certified
 
     def test_serializes_to_json_dict(self, table1):
@@ -436,7 +515,8 @@ class TestBruteForceReference:
             brute_force_reference(s, 1.0)
 
     def test_rejects_bad_step(self, table1):
-        for step in (0.0, -1.0, float("inf"), float("-inf"), float("nan"), True, False, "0.5", 1 + 0j, None):
+        for step in (0.0, -1.0, float("inf"), float("-inf"), float("nan"), 10**400, -10**400,
+                     True, False, "0.5", 1 + 0j, None):
             with pytest.raises(ValueError, match="grid_step must be a positive finite number"):
                 brute_force_reference(table1, step)
 

@@ -6,6 +6,7 @@ a per-generator reference loop, and the named thresholds the numbers the
 README states.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -45,7 +46,7 @@ def test_counterexample_exhibits_the_contradiction_on_table1():
 
 
 def test_counterexample_gives_no_verdict_when_a_variant_stops_at_its_cap():
-    payload = verdict.counterexample(table1_scenario(max_iters=100))
+    payload = verdict.counterexample(dataclasses.replace(table1_scenario(), max_iters=100))
     assert "contradiction_exhibited" not in payload
     assert {v["terminated"] for v in payload["variants"].values()} == {
         engine.TERMINATED_BY_MAX_ITERS}
